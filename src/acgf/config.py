@@ -7,14 +7,13 @@ identical resolved configuration.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import EnergyParams, ForcingField, SmoothPerturbation
 from .errors import ConfigError
-from .flow import FlowParams
+from .flow import FlowParams, default_inner_tol
 from .meshes import build_mesh
 from .potentials import potential_from_spec
 
@@ -30,12 +29,6 @@ _ENERGY_DEFAULTS = {
 }
 _FLOW_DEFAULTS = {"tau": 0.01, "T": 0.5, "inner_tol": None, "inner_max_iters": 200,
                   "semi_implicit_G": True}
-
-
-def _mesh_num_nodes(spec):
-    if spec["kind"] == "interval":
-        return int(spec["n"]) + 1
-    return int(spec["nr"]) * int(spec["ntheta"])
 
 
 @dataclass
@@ -100,7 +93,11 @@ class RunConfig:
         elif kind == "file":
             from .runio import read_snapshot_values
 
-            u = read_snapshot_values(spec["path"], mesh.num_nodes)
+            # read once per config: sweeps rebuild the initial state per member
+            key = ("initial", spec["path"], mesh.num_nodes)
+            if key not in self._cache:
+                self._cache[key] = read_snapshot_values(spec["path"], mesh.num_nodes)
+            u = self._cache[key].copy()
         elif kind == "random":
             amp = float(spec.get("amplitude", 1.0))
             rng = np.random.default_rng(self.seed)
@@ -190,9 +187,6 @@ def config_from_dict(raw):
         errors.append(f"flow: {e}")
         fp = None
     if params is not None and fp is not None:
-        if flow["inner_tol"] is None:
-            flow["inner_tol"] = 1e-9 * math.sqrt(_mesh_num_nodes(mesh))
-            fp.inner_tol = flow["inner_tol"]
         try:
             fp.check_stability(params.perturbation.lipschitz)
         except ConfigError as e:
@@ -200,6 +194,8 @@ def config_from_dict(raw):
     try:
         mesh_obj = cfg.build_mesh()
         cfg._cache["mesh"] = mesh_obj
+        if flow["inner_tol"] is None:
+            flow["inner_tol"] = default_inner_tol(mesh_obj)
         if params is not None:
             cfg.build_initial(mesh_obj, params)
         cfg.build_forcing(mesh_obj)

@@ -26,6 +26,7 @@ apart from the boundary wells.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError
 from .meshes import bulk_gradient, h_norm, surface_gradient
@@ -340,26 +341,36 @@ def grad_phi_regularized(mesh, p, u):
     return _grad_partial(mesh, p, u) / mesh.mass
 
 
+def hessian(mesh, p, u, shift):
+    """Euclidean Hessian of the regularized energy at u plus diag(shift), as CSC.
+
+    ``shift`` is a scalar or a nodal vector. The matrix is assembled with one
+    scatter-add into the mesh's cached pattern and is exactly symmetric.
+    """
+    u = np.asarray(u, dtype=float)
+    g = bulk_gradient(mesh, u)
+    f = p.norm(mesh)
+    a = (f.hess(g) + p.kappa**2 * np.eye(mesh.dim)) * mesh.cell_weights[:, None, None]
+    ops = mesh.cell_ops
+    blocks = ops.transpose(0, 2, 1) @ a @ ops
+    # symmetrize so that H[i, j] and H[j, i] add the same numbers in the same order
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    diag = np.asarray(p.bulk_potential.yosida_derivative(p.lam, u)) * mesh.w_bulk
+    bn = mesh.boundary_nodes
+    diag[bn] += np.asarray(p.bdry_potential.yosida_derivative(p.lam, u[bn])) * mesh.w_bdry
+    seg = np.zeros((mesh.seg_nodes.shape[0], 4))
+    if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
+        seg = np.outer(p.eps**2 * mesh.seg_weights / mesh.seg_len**2, [1.0, -1.0, -1.0, 1.0])
+    pat = mesh.hessian_pattern
+    contrib = np.concatenate([blocks.ravel(), diag + shift, seg.ravel()])
+    data = np.bincount(pat.scatter, weights=contrib, minlength=len(pat.indices))
+    n = mesh.num_nodes
+    return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(n, n))
+
+
 def hess_phi_vec(mesh, p, u, v):
     """Euclidean Hessian-vector product of the regularized energy at u."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g = bulk_gradient(mesh, u)
-    gv = bulk_gradient(mesh, v)
-    f = p.norm(mesh)
-    hgv = np.einsum("nde,ne->nd", f.hess(g), gv) + p.kappa**2 * gv
-    flux = hgv * mesh.cell_weights[:, None]
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.cell_nodes, np.einsum("ndk,nd->nk", mesh.cell_ops, flux))
-    out += np.asarray(p.bulk_potential.yosida_derivative(p.lam, u)) * mesh.w_bulk * v
-    if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
-        sgv = surface_gradient(mesh, v)
-        c = p.eps**2 * sgv * mesh.seg_weights / mesh.seg_len
-        np.add.at(out, mesh.seg_nodes[:, 1], c)
-        np.add.at(out, mesh.seg_nodes[:, 0], -c)
-    bn = mesh.boundary_nodes
-    out[bn] += np.asarray(p.bdry_potential.yosida_derivative(p.lam, u[bn])) * mesh.w_bdry * v[bn]
-    return out
+    return hessian(mesh, p, u, 0.0) @ np.asarray(v, dtype=float)
 
 
 def euler_lagrange_residual(mesh, p, u, ustar):
@@ -387,11 +398,11 @@ def _perturbation_partial(mesh, p, u):
     return out
 
 
-def _perturbation_hess_vec(mesh, p, u, v):
+def _perturbation_hess_diag(mesh, p, u):
     u = np.asarray(u, dtype=float)
-    out = p.perturbation.bulk.g_prime(u) * mesh.w_bulk * v
+    out = p.perturbation.bulk.g_prime(u) * mesh.w_bulk
     bn = mesh.boundary_nodes
-    out[bn] += p.perturbation.bdry.g_prime(u[bn]) * mesh.w_bdry * v[bn]
+    out[bn] += p.perturbation.bdry.g_prime(u[bn]) * mesh.w_bdry
     return out
 
 

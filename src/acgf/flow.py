@@ -11,17 +11,19 @@ smooth parts; setting ``semi_implicit_g = False`` moves the perturbation
 inside the objective (fully implicit), which requires tau < 1/L_g to
 keep the subproblem strongly convex.
 
-The inner solver is a damped Newton method with backtracking line search
-and matrix-free Hessian products via preconditioned CG; after three
-rejected Newton steps it falls back to preconditioned gradient descent.
-Optimality is certified by the gradient norm in the product inner
-product, so any descent method would yield the same certificate.
+The inner solver is a damped Newton method with an Armijo backtracking
+line search. Each iterate assembles the sparse Hessian of J (symmetric
+positive definite by strong convexity) and takes the exact Newton step
+from one sparse LU factorization in symmetric mode. Optimality is
+certified by the gradient norm in the product inner product, so any
+descent method would yield the same certificate.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from . import energy as en
 from .errors import ConfigError, NonconvergenceError, SolverError
@@ -79,33 +81,6 @@ class StepRecord:
     terms: tuple = field(default=())
 
 
-def _pcg(apply_a, b, mdiag, rtol, max_iters):
-    """Preconditioned CG for SPD systems; returns best iterate found."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = r / mdiag
-    pvec = z.copy()
-    rz = float(np.dot(r, z))
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return x
-    for _ in range(max_iters):
-        ap = apply_a(pvec)
-        pap = float(np.dot(pvec, ap))
-        if pap <= 0.0 or not np.isfinite(pap):
-            break
-        alpha = rz / pap
-        x += alpha * pvec
-        r -= alpha * ap
-        if float(np.linalg.norm(r)) <= rtol * bnorm:
-            break
-        z = r / mdiag
-        rz_new = float(np.dot(r, z))
-        pvec = z + (rz_new / rz) * pvec
-        rz = rz_new
-    return x
-
-
 def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
                            implicit_perturbation=False):
     """Minimize |v - anchor|_H^2/(2 tau) + Phi(v) [+ perturbation] + (linear, v)_H.
@@ -133,17 +108,10 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
             out += ml
         return out
 
-    def hvp(v, w):
-        out = m * w / tau + en.hess_phi_vec(mesh, p, v, w)
-        if implicit_perturbation:
-            out += en._perturbation_hess_vec(mesh, p, v, w)
-        return out
-
     v = np.asarray(v0, dtype=float).copy()
     fv = value(v)
     if not np.isfinite(fv):
         raise SolverError("non-finite objective at the inner solver start")
-    rejections = 0
     gnorm = np.inf
     # near the optimum the true decrease drops below float resolution of
     # the objective; the sufficient-decrease test gets that much slack
@@ -155,45 +123,26 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
             raise SolverError("non-finite gradient in the inner solver")
         if gnorm <= tol:
             return v, it, gnorm
-        if rejections < 3:
-            rtol = min(0.1, math.sqrt(gnorm / (1.0 + gnorm)))
-            d = _pcg(lambda w: hvp(v, w), -pg, m / tau,
-                     rtol=rtol, max_iters=min(2 * mesh.num_nodes, 400))
-            slope = float(np.dot(pg, d))
-            if slope >= 0.0 or not np.all(np.isfinite(d)):
-                d = -tau * pg / m
-                slope = float(np.dot(pg, d))
-        else:
-            d = -tau * pg / m
-            slope = float(np.dot(pg, d))
-        accepted = False
+        shift = m / tau
+        if implicit_perturbation:
+            shift = shift + en._perturbation_hess_diag(mesh, p, v)
+        try:
+            lu = splu(en.hessian(mesh, p, v, shift), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError as e:  # SuperLU reports a singular factor this way
+            raise SolverError(f"Newton system is singular at gradient norm {gnorm:.3e}") from e
+        d = lu.solve(-pg)
+        slope = float(np.dot(pg, d))
         alpha = 1.0
         for _ in range(40):
             vn = v + alpha * d
             fn = value(vn)
             if np.isfinite(fn) and fn <= fv + 1e-4 * alpha * slope + slack:
-                v, fv = vn, fn
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
-            rejections += 1
-            # retry along steepest descent before giving up on the iteration
-            d = -tau * pg / m
-            slope = float(np.dot(pg, d))
-            alpha = 1.0
-            for _ in range(60):
-                vn = v + alpha * d
-                fn = value(vn)
-                if np.isfinite(fn) and fn <= fv + 1e-4 * alpha * slope + slack:
-                    v, fv = vn, fn
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                raise SolverError(
-                    f"inner line search stalled at gradient norm {gnorm:.3e}"
-                )
+        else:
+            raise SolverError(f"inner line search stalled at gradient norm {gnorm:.3e}")
+        v, fv = vn, fn
     raise NonconvergenceError(
         f"inner solver hit {max_iters} iterations with residual {gnorm:.3e}",
         residual=gnorm,

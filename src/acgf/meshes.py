@@ -19,14 +19,58 @@ Per-cell gradients are the gradients of the least-squares affine fit of
 the corner values against the corner coordinates: this annihilates
 constants and reproduces every globally affine field exactly on both
 mesh kinds.
+
+The sparsity pattern of the energy Hessian (cell blocks, the diagonal and
+the boundary-loop stencil) is a property of the mesh alone; it is built
+once, on first use, so that every Newton iterate assembles into it with a
+single scatter-add.
 """
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 
 
-class IntervalMesh:
+class HessianPattern(NamedTuple):
+    """CSC structure of the energy Hessian and where each contribution lands.
+
+    Contributions are ordered as: the k x k block of every cell (cells in
+    order, each block row-major over ``cell_nodes``), one diagonal entry per
+    node, then the 2 x 2 block of every boundary segment. Contribution i is
+    added to ``data[scatter[i]]``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    scatter: np.ndarray
+
+
+class _Mesh:
+    """Structure shared by the mesh kinds and derived lazily from their arrays."""
+
+    @functools.cached_property
+    def hessian_pattern(self):
+        """Sparse structure of the energy Hessian, built on first use."""
+        n = self.num_nodes
+        k = self.cell_nodes.shape[1]
+        sn = self.seg_nodes
+        rows = np.concatenate([np.repeat(self.cell_nodes, k, axis=1).ravel(), np.arange(n),
+                               np.repeat(sn, 2, axis=1).ravel()])
+        cols = np.concatenate([np.tile(self.cell_nodes, (1, k)).ravel(), np.arange(n),
+                               np.tile(sn, (1, 2)).ravel()])
+        keys, scatter = np.unique(cols * n + rows, return_inverse=True)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        pattern = HessianPattern(indptr.astype(np.int32), (keys % n).astype(np.int32),
+                                 scatter.ravel())
+        for arr in pattern:
+            arr.flags.writeable = False
+        return pattern
+
+
+class IntervalMesh(_Mesh):
     """[0, L] with n uniform cells, n + 1 nodes; boundary = both endpoints."""
 
     kind = "interval"
@@ -61,7 +105,7 @@ class IntervalMesh:
         self.surface = 2.0
 
 
-class DiscMesh:
+class DiscMesh(_Mesh):
     """Disc of radius R on a polar tensor grid with nr rings and ntheta spokes."""
 
     kind = "disc"

@@ -84,3 +84,23 @@ def test_fully_implicit_flag_parses():
             "energy": {"perturbation": {"kind": "neg_quadratic"}},
             "flow": {"tau": 1.2, "T": 2.0, "semi_implicit_G": False},
         })
+
+
+def test_initial_file_read_once_and_copied(tmp_path, monkeypatch):
+    import acgf.runio as runio
+    from acgf.meshes import IntervalMesh
+
+    mesh = IntervalMesh(1.0, 8)
+    values = np.linspace(-0.5, 0.5, mesh.num_nodes)
+    path = tmp_path / "snap.csv"
+    path.write_text(runio.snapshot_to_csv(mesh, values))
+    reads = []
+    original = runio.read_snapshot_values
+    monkeypatch.setattr(runio, "read_snapshot_values",
+                        lambda *a: reads.append(a) or original(*a))
+    cfg = config_from_dict({"mesh": {"kind": "interval", "n": 8},
+                            "initial": {"kind": "file", "path": str(path)}})
+    u0 = cfg.build_all()[3]
+    u0[:] = 0.0
+    assert np.array_equal(cfg.build_all()[3], values)
+    assert len(reads) == 1

@@ -10,9 +10,11 @@ from acgf.energy import (
     energy_terms,
     euler_lagrange_residual,
     free_energy,
+    _grad_partial,
     gcal,
     grad_phi_regularized,
     hess_phi_vec,
+    hessian,
     is_feasible,
     perturbation_energy,
     phi_exact,
@@ -20,9 +22,10 @@ from acgf.energy import (
 )
 from acgf.errors import ConfigError
 from acgf.meshes import DiscMesh, IntervalMesh, h_inner, h_norm
-from acgf.potentials import indicator, quadratic
+from acgf.potentials import indicator, quadratic, tabulated
 
 IND = indicator(-1.0, 1.0)
+TAB = tabulated([[-1.0, 0.6], [-0.5, 0.1], [0.0, 0.0], [0.5, 0.1], [1.0, 0.6]])
 
 
 def make_params(**kw):
@@ -159,6 +162,39 @@ class TestGradient:
         fd = (_grad_partial(mesh, p, u + h * v) - _grad_partial(mesh, p, u - h * v)) / (2 * h)
         hv = hess_phi_vec(mesh, p, u, v)
         assert np.abs(hv - fd).max() <= 1e-5 * (1.0 + np.abs(fd).max())
+
+    @pytest.mark.parametrize("mesh", [IntervalMesh(1.0, 8), DiscMesh(1.0, 4, 8)],
+                             ids=["interval", "disc"])
+    @pytest.mark.parametrize("eps", [0.0, 0.7])
+    @pytest.mark.parametrize("well", ["indicator", "quadratic", "tabulated"])
+    def test_assembled_hessian(self, mesh, eps, well):
+        lam = 0.25
+        pot, kinks = {
+            "indicator": (IND, [-1.0, 1.0]),
+            "quadratic": (quadratic(1.2), []),
+            # the Yosida slope of a piecewise-linear well bends where the
+            # prox enters or leaves a segment: r = t_i + lam * s_i, t_{i+1} + lam * s_i
+            "tabulated": (TAB, np.concatenate([TAB.ts[:-1] + lam * TAB.slopes,
+                                               TAB.ts[1:] + lam * TAB.slopes])),
+        }[well]
+        p = make_params(delta=0.3, lam=lam, eps=eps, kappa=0.8,
+                        bulk_potential=pot, bdry_potential=pot)
+        rng = np.random.default_rng(41)
+        u = rng.uniform(-1.2, 1.2, mesh.num_nodes)
+        while True:
+            near = np.abs(u[:, None] - np.asarray(kinks)).min(axis=1, initial=1.0) < 0.02
+            if not near.any():
+                break
+            u[near] = rng.uniform(-1.2, 1.2, near.sum())
+        tau = 1.0 / 128.0
+        H = hessian(mesh, p, u, 0.0)
+        assert (H != H.T).nnz == 0
+        h = 1e-6
+        for _ in range(3):
+            v = rng.standard_normal(mesh.num_nodes)
+            fd = (_grad_partial(mesh, p, u + h * v) - _grad_partial(mesh, p, u - h * v)) / (2 * h)
+            assert np.abs(H @ v - fd).max() <= 1e-5 * (1.0 + np.abs(fd).max())
+        np.linalg.cholesky(hessian(mesh, p, u, mesh.mass / tau).toarray())
 
     def test_midpoint_convexity_along_segments(self):
         mesh = IntervalMesh(1.0, 16)

@@ -5,7 +5,7 @@ import pytest
 
 import acgf
 from acgf.energy import EnergyParams, ForcingField, SmoothPerturbation, phi_regularized
-from acgf.errors import ConfigError, NonconvergenceError
+from acgf.errors import ConfigError, NonconvergenceError, SolverError
 from acgf.flow import FlowParams, default_inner_tol, proximal_step, resolvent, run_flow
 from acgf.meshes import DiscMesh, IntervalMesh, h_inner, h_norm
 from acgf.potentials import indicator
@@ -67,6 +67,17 @@ class TestProximalStep:
         with pytest.raises(NonconvergenceError) as exc:
             proximal_step(m, p, fp, u)
         assert exc.value.residual is not None and exc.value.residual > 0
+
+    def test_non_finite_newton_direction_stalls_as_solver_error(self, monkeypatch):
+        class NaNFactor:
+            def solve(self, b):
+                return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(acgf.flow, "splu", lambda *a, **kw: NaNFactor())
+        m = IntervalMesh(1.0, 16)
+        u = np.random.default_rng(5).uniform(-0.9, 0.9, m.num_nodes)
+        with pytest.raises(SolverError, match="inner line search stalled"):
+            proximal_step(m, make_params(), FlowParams(tau=0.1, T=1.0), u)
 
 
 class TestRunFlow:
