@@ -23,6 +23,7 @@ by zero, so an interval mesh and a disc at eps = 0 assemble identically
 apart from the boundary wells.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,10 +185,10 @@ class EnergyParams:
     perturbation: SmoothPerturbation
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ConfigError(f"kappa must be positive, got {self.kappa}")
-        if self.eps < 0.0:
-            raise ConfigError(f"eps must be nonnegative, got {self.eps}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise ConfigError(f"kappa must be finite and positive, got {self.kappa}")
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise ConfigError(f"eps must be finite and nonnegative, got {self.eps}")
         if not (0.0 < self.delta <= 1.0):
             raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
         if not (0.0 < self.lam <= 1.0):
@@ -261,8 +262,8 @@ class ForcingField:
 # ---------------------------------------------------------------------------
 # assembly
 
-def energy_terms(mesh, p, u):
-    """Regularized energy split: (tv, quad, bulk_pot, surface, bdry_pot, perturbation)."""
+def _convex_terms(mesh, p, u):
+    """Regularized convex energy split: (tv, quad, bulk_pot, surface, bdry_pot)."""
     g = bulk_gradient(mesh, u)
     f = p.norm(mesh)
     tv = float(np.dot(f.eval(g), mesh.cell_weights))
@@ -274,12 +275,17 @@ def energy_terms(mesh, p, u):
         surf = 0.5 * p.eps**2 * float(np.dot(sg * sg, mesh.seg_weights))
     ub = u[mesh.boundary_nodes]
     bdry_pot = float(np.dot(np.asarray(p.bdry_potential.envelope(p.lam, ub)), mesh.w_bdry))
-    return tv, quad, bulk_pot, surf, bdry_pot, perturbation_energy(mesh, p, u)
+    return tv, quad, bulk_pot, surf, bdry_pot
+
+
+def energy_terms(mesh, p, u):
+    """Regularized energy split: (tv, quad, bulk_pot, surface, bdry_pot, perturbation)."""
+    return _convex_terms(mesh, p, u) + (perturbation_energy(mesh, p, u),)
 
 
 def phi_regularized(mesh, p, u):
     """Value of the smoothed convex energy; always finite."""
-    t = energy_terms(mesh, p, u)
+    t = _convex_terms(mesh, p, u)
     return t[0] + t[1] + t[2] + t[3] + t[4]
 
 
@@ -383,11 +389,7 @@ def euler_lagrange_residual(mesh, p, u, ustar):
 
 def gcal(mesh, p, u):
     """Riesz representative of the perturbation derivative pair [g(u), g_bdry(u)]."""
-    u = np.asarray(u, dtype=float)
-    out = p.perturbation.bulk.g(u) * mesh.w_bulk
-    bn = mesh.boundary_nodes
-    out[bn] += p.perturbation.bdry.g(u[bn]) * mesh.w_bdry
-    return out / mesh.mass
+    return _perturbation_partial(mesh, p, u) / mesh.mass
 
 
 def _perturbation_partial(mesh, p, u):

@@ -44,10 +44,12 @@ class FlowParams:
     semi_implicit_g: bool = True
 
     def __post_init__(self):
-        if not (self.tau > 0.0 and self.T > 0.0):
-            raise ConfigError(f"tau and T must be positive, got tau={self.tau}, T={self.T}")
-        if self.inner_tol is not None and not self.inner_tol > 0.0:
-            raise ConfigError("inner_tol must be positive")
+        for name in ("tau", "T"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if self.inner_tol is not None and not (math.isfinite(self.inner_tol) and self.inner_tol > 0.0):
+            raise ConfigError(f"inner_tol must be finite and positive, got {self.inner_tol}")
         if self.inner_max_iters < 1:
             raise ConfigError("inner_max_iters must be >= 1")
 

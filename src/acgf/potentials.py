@@ -10,9 +10,14 @@ Three kinds are shipped:
 
 * ``indicator``  -- 0 on [lo, hi], +inf outside (the canonical obstacle),
 * ``quadratic``  -- c*t^2/2 on the whole line, c >= 0,
-* ``tabulated``  -- convex piecewise-linear interpolation of (t, B(t))
-  pairs, +inf outside the table range; its proximal map is computed by
-  bisection on the optimality condition.
+* ``tabulated``  -- convex piecewise-linear interpolation of (t, B) pairs,
+  +inf outside the table range.
+
+Every kind has a closed-form prox and an exact a.e. derivative of its
+Yosida slope. For a tabulated well with breakpoints t_i and segment
+slopes s_i the prox is itself piecewise linear in r (Parikh & Boyd,
+*Proximal Algorithms*, 2014, sec. 6): it rests on t_i for r in
+[t_i + lam*s_{i-1}, t_i + lam*s_i] and is r - lam*s_i in between.
 """
 
 from dataclasses import dataclass
@@ -20,10 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-
-# Bisection budget and optimality tolerance for the tabulated prox.
-_PROX_MAX_BISECT = 200
-_PROX_TOL = 1e-12
 
 # Sampling box used when a potential domain is unbounded: compatibility
 # margins are then probed on the interior of [-10, 10].
@@ -71,12 +72,8 @@ class ScalarConvexPotential:
         return _restore((arr - p) / lam, scalar)
 
     def yosida_derivative(self, lam, r):
-        """a.e. derivative of the Yosida slope in r (used for Hessian products)."""
-        lam = _check_lam(lam)
-        arr, scalar = _as_array(r)
-        h = 1e-6 * (1.0 + np.abs(arr))
-        d = (np.asarray(self.yosida(lam, arr + h)) - np.asarray(self.yosida(lam, arr - h))) / (2.0 * h)
-        return _restore(np.maximum(d, 0.0), scalar)
+        """a.e. derivative of the Yosida slope in r (the Hessian diagonal)."""
+        raise NotImplementedError
 
     def project(self, r):
         """Clamp onto the closed domain: (r v lo) ^ hi."""
@@ -208,6 +205,9 @@ class _Tabulated(ScalarConvexPotential):
         self.slopes = np.diff(self.bs) / np.diff(self.ts)
         if np.any(np.diff(self.slopes) < -1e-9 * (1.0 + np.abs(self.slopes[:-1]))):
             raise ConfigError("tabulated potential is not convex (slopes decrease)")
+        # A fall within that tolerance is roundoff: raising it makes the slopes,
+        # hence the prox knots and the subdifferential, exactly monotone.
+        self.slopes = np.maximum.accumulate(self.slopes)
         self.lo, self.hi = float(self.ts[0]), float(self.ts[-1])
         if not (self.lo <= 0.0 <= self.hi):
             raise ConfigError("tabulated domain must contain 0")
@@ -229,41 +229,35 @@ class _Tabulated(ScalarConvexPotential):
         idx = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.slopes) - 1)
         return self.slopes[idx]
 
+    def _segment_shift(self, lam, arr):
+        # The prox of r lies in segment i, where i counts the segment ends
+        # t_{i+1} + lam*s_i at or below r; unclamped it is r - lam*s_i.
+        ends = self.ts[1:] + lam * self.slopes
+        i = np.minimum(np.searchsorted(ends, arr, side="right"), len(self.slopes) - 1)
+        return i, arr - lam * self.slopes[i]
+
     def prox(self, lam, r):
         lam = _check_lam(lam)
         _check_finite(r)
         arr, scalar = _as_array(r)
-        flat = np.atleast_1d(arr).astype(float)
-        # Bisection on the (strictly increasing) right derivative of
-        # q(t) = (t - r)^2 / (2 lam) + B(t) over the domain.
-        at_lo = (self.lo - flat) / lam + self.slopes[0] >= 0.0
-        at_hi = (self.hi - flat) / lam + self.slopes[-1] <= 0.0
-        lo_b = np.full_like(flat, self.lo)
-        hi_b = np.full_like(flat, self.hi)
-        for _ in range(_PROX_MAX_BISECT):
-            if np.max(hi_b - lo_b) <= _PROX_TOL * 1e-3:
-                break
-            mid = 0.5 * (lo_b + hi_b)
-            pos = (mid - flat) / lam + self._slope_right(mid) > 0.0
-            hi_b = np.where(pos, mid, hi_b)
-            lo_b = np.where(pos, lo_b, mid)
-        out = 0.5 * (lo_b + hi_b)
-        out = np.where(at_lo, self.lo, out)
-        out = np.where(at_hi, self.hi, out)
-        out = out.reshape(arr.shape)
-        return _restore(out, scalar)
+        i, q = self._segment_shift(lam, arr)
+        return _restore(np.clip(q, self.ts[i], self.ts[i + 1]), scalar)
+
+    def yosida_derivative(self, lam, r):
+        # 0 where the prox moves with r inside a segment, 1/lam where it rests
+        # on a breakpoint
+        lam = _check_lam(lam)
+        arr, scalar = _as_array(r)
+        i, q = self._segment_shift(lam, arr)
+        moving = (q >= self.ts[i]) & (q < self.ts[i + 1])
+        return _restore(np.where(moving, 0.0, 1.0 / lam), scalar)
 
     def optimality_residual(self, lam, r, p):
-        """Distance of (r - p)/lam from the subdifferential interval near p.
-
-        The interval is widened by the bisection resolution so a prox that
-        landed within roundoff of a breakpoint still certifies.
-        """
+        """Distance of (r - p)/lam from the subdifferential interval at p."""
         lam = _check_lam(lam)
-        h = _PROX_TOL
         g = (np.asarray(r, dtype=float) - p) / lam
-        s_lo = np.where(p <= self.lo + h, -np.inf, self._slope_left(p - h))
-        s_hi = np.where(p >= self.hi - h, np.inf, self._slope_right(p + h))
+        s_lo = np.where(p <= self.lo, -np.inf, self._slope_left(p))
+        s_hi = np.where(p >= self.hi, np.inf, self._slope_right(p))
         return np.maximum(np.maximum(s_lo - g, g - s_hi), 0.0)
 
     def minimal_section(self, r):

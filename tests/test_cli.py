@@ -62,6 +62,20 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("energy", "kappa", float("inf")),
+        ("energy", "eps", float("nan")),
+        ("flow", "tau", float("nan")),
+        ("flow", "T", float("inf")),
+        ("flow", "inner_tol", float("inf")),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, section, field, value):
+        bad = dict(BASE, **{section: {**BASE[section], field: value}})
+        cfg = write_cfg(tmp_path, bad)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_initial_rejected(self, tmp_path):
         bad = dict(BASE, initial={"kind": "constant", "value": 1.5})
         cfg = write_cfg(tmp_path, bad)

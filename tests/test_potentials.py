@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acgf.errors import ConfigError
 from acgf.potentials import (
@@ -29,6 +31,71 @@ def grid_prox_oracle(pot, lam, r, lo=-10.0, hi=10.0):
     t0 = coarse[np.argmin(objective(coarse))]
     fine = np.arange(t0 - 2e-3, t0 + 2e-3, 1e-6)
     return fine[np.argmin(objective(fine))]
+
+
+@st.composite
+def convex_tables(draw):
+    """(t, B) pairs of a convex piecewise-linear well with B(0) = 0.
+
+    Segments leave 0 to both sides with slopes whose magnitudes grow
+    outward. Optionally one slope falls by up to 0.9 of the constructor's
+    1e-9 relative convexity tolerance, and the table may be mirrored.
+    """
+    side = st.lists(st.tuples(st.floats(0.05, 1.5), st.floats(0.0, 3.0)), max_size=4)
+    right, left = draw(side), draw(side)
+    if not right and not left:
+        right = [(1.0, 1.0)]
+    pts = [(0.0, 0.0)]
+    for segs, sign in ((right, 1.0), (left, -1.0)):
+        widths = np.array([w for w, _ in segs])
+        slopes = np.cumsum([ds for _, ds in segs])
+        falls = [k for k in range(len(slopes) - 1) if slopes[k] >= 0.1]
+        if falls and draw(st.booleans()):
+            k = draw(st.sampled_from(falls))
+            slopes[k + 1] = slopes[k] - draw(st.floats(0.0, 0.9)) * 1e-9 * (1.0 + slopes[k])
+        ts = sign * np.cumsum(widths)
+        bs = np.cumsum(widths * slopes)
+        pts += list(zip(ts, bs))
+    pts = np.array(pts)
+    if draw(st.booleans()):
+        pts[:, 0] = -pts[:, 0]
+    return pts
+
+
+def prox_knots(pot, lam):
+    """r-breakpoints of the tabulated prox: t_i + lam * s_i and t_{i+1} + lam * s_i."""
+    return np.concatenate([pot.ts[:-1] + lam * pot.slopes, pot.ts[1:] + lam * pot.slopes])
+
+
+class TestTabulatedClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(convex_tables(), st.floats(0.01, 1.0), st.floats(0.0, 1.0))
+    def test_prox_matches_grid_oracle(self, pts, lam, frac):
+        pot = tabulated(pts)
+        r = pot.lo - 2.0 + frac * (pot.hi - pot.lo + 4.0)
+        expected = grid_prox_oracle(pot, lam, r, lo=pot.lo, hi=pot.hi)
+        assert pot.prox(lam, r) == pytest.approx(expected, abs=2e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(convex_tables(), st.floats(0.01, 1.0))
+    def test_optimality_residual(self, pts, lam):
+        pot = tabulated(pts)
+        knots = prox_knots(pot, lam)
+        rs = np.concatenate([np.linspace(pot.lo - 3.0, pot.hi + 3.0, 2001), knots,
+                             np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+        p = np.asarray(pot.prox(lam, rs))
+        assert np.max(pot.optimality_residual(lam, rs, p)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(convex_tables(), st.floats(0.01, 1.0))
+    def test_yosida_derivative_matches_central_differences(self, pts, lam):
+        pot = tabulated(pts)
+        rs = np.linspace(pot.lo - 2.0, pot.hi + 2.0, 801)
+        rs = rs[np.abs(rs[:, None] - prox_knots(pot, lam)).min(axis=1) >= 0.02]
+        h = 1e-4
+        fd = (np.asarray(pot.yosida(lam, rs + h)) - np.asarray(pot.yosida(lam, rs - h))) / (2 * h)
+        d = np.asarray(pot.yosida_derivative(lam, rs))
+        assert np.abs(d - fd).max(initial=0.0) <= 1e-6 / lam
 
 
 class TestProx:
