@@ -98,6 +98,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed: must be >= 0")
             cfg.seed = args.seed
         if args.out is not None:
             cfg.output_dir = args.out

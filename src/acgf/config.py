@@ -7,6 +7,7 @@ identical resolved configuration.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,13 @@ _ENERGY_DEFAULTS = {
 }
 _FLOW_DEFAULTS = {"tau": 0.01, "T": 0.5, "inner_tol": None, "inner_max_iters": 200,
                   "semi_implicit_G": True}
+# numeric fields per section, True where the value must be integral
+_NUMBERS = {
+    "mesh": {"L": False, "n": True, "R": False, "nr": True, "ntheta": True},
+    "energy": {"kappa": False, "eps": False, "delta": False, "lambda": False},
+    "flow": {"tau": False, "T": False, "inner_tol": False, "inner_max_iters": True},
+    "initial": {"value": False, "amplitude": False},
+}
 
 
 @dataclass
@@ -93,6 +101,8 @@ class RunConfig:
         elif kind == "file":
             from .runio import read_snapshot_values
 
+            if "path" not in spec:
+                raise ConfigError("initial.path: required for a file initial state")
             # read once per config: sweeps rebuild the initial state per member
             key = ("initial", spec["path"], mesh.num_nodes)
             if key not in self._cache:
@@ -148,23 +158,96 @@ def _merge(defaults, given, path, errors):
     return out
 
 
+def _number_error(path, value, integer=False):
+    """Why value is not a finite JSON number (integral if asked), or None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"{path} must be a number, got {value!r}"
+    if not math.isfinite(value):
+        return f"{path} must be finite, got {value}"
+    if integer and math.floor(value) != value:
+        return f"{path} must be an integer, got {value}"
+    return None
+
+
+def _series(path, value, errors, pairs=False):
+    """Number checks for a list of numbers, or of [t, value] pairs if ``pairs``."""
+    rows = value if isinstance(value, list) else None
+    if pairs and rows is not None and not all(isinstance(r, list) and len(r) == 2 for r in rows):
+        rows = None
+    if rows is None:
+        errors.append(f"{path} must be a list of {'[t, value] pairs' if pairs else 'numbers'}")
+        return []
+    if pairs:
+        return [(f"{path}[{i}][{j}]", x, False) for i, r in enumerate(rows) for j, x in enumerate(r)]
+    return [(f"{path}[{i}]", x, False) for i, x in enumerate(rows)]
+
+
+def _type_errors(raw, sections):
+    """Errors naming every field whose value has the wrong JSON type or is not finite."""
+    errors = [f"{key}: must be >= 0" for key in ("snapshot_every", "seed")
+              if _number_error(key, raw.get(key, 0), True) is None and raw.get(key, 0) < 0]
+    checks = [(key, raw[key], True) for key in ("snapshot_every", "seed") if key in raw]
+    for name, fields in _NUMBERS.items():
+        spec = sections[name]
+        checks += [(f"{name}.{key}", spec[key], integer) for key, integer in fields.items()
+                   if key in spec and not (key == "inner_tol" and spec[key] is None)]
+    strings = (("output_dir", raw.get("output_dir", "")),
+               ("initial.path", sections["initial"].get("path", "")))
+    errors += [f"{path} must be a string, got {v!r}" for path, v in strings if not isinstance(v, str)]
+    implicit = sections["flow"]["semi_implicit_G"]
+    if not isinstance(implicit, bool):
+        errors.append(f"flow.semi_implicit_G must be true or false, got {implicit!r}")
+
+    energy = sections["energy"]
+    specs = [(f"energy.{key}", energy[key]) for key in ("bulk_potential", "bdry_potential")]
+    pert = energy["perturbation"]
+    if pert is not None:
+        specs.append(("energy.perturbation", pert))
+        if isinstance(pert, dict):
+            specs += [(f"energy.perturbation.{side}", pert[side])
+                      for side in ("bulk", "boundary") if side in pert]
+    for path, spec in specs:
+        if not isinstance(spec, dict):
+            errors.append(f"{path}: expected an object")
+            continue
+        checks += [(f"{path}.{key}", spec[key], False) for key in ("lo", "hi", "c") if key in spec]
+        if "points" in spec:
+            checks += _series(f"{path}.points", spec["points"], errors, pairs=True)
+
+    forcing = sections["forcing"]
+    if forcing.get("kind") == "tabulated":
+        for key in ("times", "bulk", "boundary"):
+            if key in forcing:
+                checks += _series(f"forcing.{key}", forcing[key], errors)
+    else:
+        checks += [(f"forcing.{key}", forcing[key], False)
+                   for key in ("bulk", "boundary") if key in forcing]
+    return errors + [e for e in (_number_error(*c) for c in checks) if e]
+
+
 def config_from_dict(raw):
     """Resolve defaults and validate; raises ConfigError with field paths."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
     errors = []
 
-    mesh = dict(raw.get("mesh") or {})
+    mesh = _merge({}, raw.get("mesh"), "mesh", errors)
     kind = mesh.get("kind", "interval")
-    if kind not in _MESH_DEFAULTS:
+    if not isinstance(kind, str) or kind not in _MESH_DEFAULTS:
         errors.append(f"mesh.kind: unknown kind {kind!r}")
         kind = "interval"
     mesh = {**_MESH_DEFAULTS[kind], **mesh, "kind": kind}
 
     energy = _merge(_ENERGY_DEFAULTS, raw.get("energy"), "energy", errors)
     flow = _merge(_FLOW_DEFAULTS, raw.get("flow"), "flow", errors)
-    initial = dict(raw.get("initial") or {"kind": "constant", "value": 0.0})
-    forcing = dict(raw.get("forcing") or {"kind": "zero"})
+    initial = (_merge({}, raw.get("initial"), "initial", errors)
+               or {"kind": "constant", "value": 0.0})
+    forcing = _merge({}, raw.get("forcing"), "forcing", errors) or {"kind": "zero"}
+    # values of the wrong type would fail the checks below with a bare exception
+    type_errors = _type_errors(raw, {"mesh": mesh, "energy": energy, "flow": flow,
+                                     "initial": initial, "forcing": forcing})
+    if type_errors:
+        raise ConfigError("; ".join(errors + type_errors))
 
     cfg = RunConfig(
         mesh=mesh, energy=energy, flow=flow, initial=initial, forcing=forcing,
@@ -172,8 +255,6 @@ def config_from_dict(raw):
         snapshot_every=int(raw.get("snapshot_every", 0)),
         seed=int(raw.get("seed", 0)),
     )
-    if cfg.snapshot_every < 0:
-        errors.append("snapshot_every: must be >= 0")
 
     # structural checks that do not need the mesh built
     try:

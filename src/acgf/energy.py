@@ -347,16 +347,19 @@ def grad_phi_regularized(mesh, p, u):
     return _grad_partial(mesh, p, u) / mesh.mass
 
 
-def hessian(mesh, p, u, shift):
+def hessian(mesh, p, u, shift, dual=None):
     """Euclidean Hessian of the regularized energy at u plus diag(shift), as CSC.
 
-    ``shift`` is a scalar or a nodal vector. The matrix is assembled with one
-    scatter-add into the mesh's cached pattern and is exactly symmetric.
+    ``shift`` is a scalar or a nodal vector. ``dual`` is an optional per-cell
+    flux that replaces grad u / s in the total-variation blocks (see
+    ``SmoothedNorm.hess``); None gives the exact Hessian. The matrix is
+    assembled with one scatter-add into the mesh's cached pattern and is
+    exactly symmetric.
     """
     u = np.asarray(u, dtype=float)
     g = bulk_gradient(mesh, u)
     f = p.norm(mesh)
-    a = (f.hess(g) + p.kappa**2 * np.eye(mesh.dim)) * mesh.cell_weights[:, None, None]
+    a = (f.hess(g, dual) + p.kappa**2 * np.eye(mesh.dim)) * mesh.cell_weights[:, None, None]
     ops = mesh.cell_ops
     blocks = ops.transpose(0, 2, 1) @ a @ ops
     # symmetrize so that H[i, j] and H[j, i] add the same numbers in the same order

@@ -11,12 +11,29 @@ smooth parts; setting ``semi_implicit_g = False`` moves the perturbation
 inside the objective (fully implicit), which requires tau < 1/L_g to
 keep the subproblem strongly convex.
 
-The inner solver is a damped Newton method with an Armijo backtracking
-line search. Each iterate assembles the sparse Hessian of J (symmetric
-positive definite by strong convexity) and takes the exact Newton step
-from one sparse LU factorization in symmetric mode. Optimality is
-certified by the gradient norm in the product inner product, so any
-descent method would yield the same certificate.
+The inner solver is the primal-dual Newton method of Chan, Golub and
+Mulet (SIAM J. Sci. Comput. 20(6), 1999) with an Armijo backtracking line
+search on J. Each iterate assembles the sparse Hessian of J and solves for
+the step d with one sparse LU factorization in symmetric mode, but the
+total-variation block of every cell uses a dual flux w in place of
+grad v / s (s = sqrt(|grad v|^2 + delta^2)):
+
+    (I - (w grad v^T + grad v w^T) / (2 s)) / s,
+
+which is symmetric positive definite while |w| < 1. The exact block
+(w = grad v / s) has curvature only delta^2 / s^3 along grad v, so where
+|grad v| >> delta the exact Newton step overshoots and the line search
+has to damp it; the primal-dual block avoids that. w starts at zero in every
+solve (so the first step is the lagged-diffusivity one) and follows the
+Newton step of w s = grad v linearized along d,
+
+    dw = (grad d - w (grad v . grad d) / s) / s + grad v / s - w,
+
+with the step length beta = min(1, 0.99 b*), where b* is the largest b
+keeping |w + b dw| <= 1 in every cell. Only the matrix changes: the
+objective, the line search and the stopping test are those of J itself,
+and optimality is certified by the gradient norm in the product inner
+product, which does not depend on w.
 """
 
 import math
@@ -27,7 +44,7 @@ from scipy.sparse.linalg import splu
 
 from . import energy as en
 from .errors import ConfigError, NonconvergenceError, SolverError
-from .meshes import h_norm
+from .meshes import bulk_gradient, h_norm
 
 
 def default_inner_tol(mesh):
@@ -81,14 +98,16 @@ class StepRecord:
     inner_iters: int
     inner_residual: float
     terms: tuple = field(default=())
+    inner_backtracks: int = 0
 
 
 def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
                            implicit_perturbation=False):
     """Minimize |v - anchor|_H^2/(2 tau) + Phi(v) [+ perturbation] + (linear, v)_H.
 
-    Returns (minimizer, iterations, certified gradient norm). ``linear``
-    may be None. Raises on NaN objectives or an exhausted budget.
+    Returns (minimizer, iterations, certified gradient norm, line-search
+    halvings). ``linear`` may be None. Raises on NaN objectives or an
+    exhausted budget.
     """
     m = mesh.mass
     ml = m * linear if linear is not None else None
@@ -111,6 +130,8 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
         return out
 
     v = np.asarray(v0, dtype=float).copy()
+    w = np.zeros((mesh.cell_ops.shape[0], mesh.dim))  # dual flux, |w| < 1 per cell
+    backtracks = 0
     fv = value(v)
     if not np.isfinite(fv):
         raise SolverError("non-finite objective at the inner solver start")
@@ -124,16 +145,20 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
         if not np.isfinite(gnorm):
             raise SolverError("non-finite gradient in the inner solver")
         if gnorm <= tol:
-            return v, it, gnorm
+            return v, it, gnorm, backtracks
         shift = m / tau
         if implicit_perturbation:
             shift = shift + en._perturbation_hess_diag(mesh, p, v)
         try:
-            lu = splu(en.hessian(mesh, p, v, shift), permc_spec="MMD_AT_PLUS_A",
+            lu = splu(en.hessian(mesh, p, v, shift, w), permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as e:  # SuperLU reports a singular factor this way
             raise SolverError(f"Newton system is singular at gradient norm {gnorm:.3e}") from e
         d = lu.solve(-pg)
+        g, bd = bulk_gradient(mesh, v), bulk_gradient(mesh, d)
+        s = np.sqrt(np.einsum("nd,nd->n", g, g) + p.delta**2)[:, None]
+        dw = (bd - w * np.einsum("nd,nd->n", g, bd)[:, None] / s) / s + g / s - w
+        w += _dual_step(w, dw) * dw
         slope = float(np.dot(pg, d))
         alpha = 1.0
         for _ in range(40):
@@ -142,6 +167,7 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
             if np.isfinite(fn) and fn <= fv + 1e-4 * alpha * slope + slack:
                 break
             alpha *= 0.5
+            backtracks += 1
         else:
             raise SolverError(f"inner line search stalled at gradient norm {gnorm:.3e}")
         v, fv = vn, fn
@@ -149,6 +175,18 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
         f"inner solver hit {max_iters} iterations with residual {gnorm:.3e}",
         residual=gnorm,
     )
+
+
+def _dual_step(w, dw):
+    """min(1, 0.99 b*), b* the largest b keeping |w + b dw| <= 1 in every cell."""
+    a = np.einsum("nd,nd->n", w, dw)
+    c = np.einsum("nd,nd->n", dw, dw)
+    r = 1.0 - np.einsum("nd,nd->n", w, w)
+    q = np.sqrt(a * a + c * r)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # positive root of c b^2 + 2 a b - r, in the form free of cancellation
+        roots = np.where(a >= 0.0, r / (a + q), (q - a) / c)
+    return min(1.0, 0.99 * float(roots.min()))
 
 
 def proximal_step(mesh, p, fp, uprev, theta_n=None):
@@ -172,7 +210,7 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None):
         implicit = True
     if linear is not None and not np.any(linear):
         linear = None
-    v, iters, residual = _solve_strongly_convex(
+    v, iters, residual, backtracks = _solve_strongly_convex(
         mesh, p, fp.tau, uprev, linear, uprev, tol, fp.inner_max_iters,
         implicit_perturbation=implicit,
     )
@@ -187,6 +225,7 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None):
         inner_iters=iters,
         inner_residual=residual,
         terms=terms,
+        inner_backtracks=backtracks,
     )
     return v, rec
 
@@ -234,5 +273,5 @@ def resolvent(mesh, p, w, inner_tol=None, inner_max_iters=200):
     if w.shape != (mesh.num_nodes,):
         raise ValueError(f"field has shape {w.shape}, mesh has {mesh.num_nodes} nodes")
     tol = inner_tol if inner_tol is not None else default_inner_tol(mesh)
-    v, _, _ = _solve_strongly_convex(mesh, p, 1.0, w, None, w, tol, inner_max_iters)
+    v, _, _, _ = _solve_strongly_convex(mesh, p, 1.0, w, None, w, tol, inner_max_iters)
     return v

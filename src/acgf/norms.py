@@ -37,12 +37,18 @@ class SmoothedNorm:
         omega, s = self._scale(omega)
         return omega / s[..., None]
 
-    def hess(self, omega):
-        """d^2 f / dw^2 = I/s - w w^T / s^3; shape (..., dim, dim)."""
+    def hess(self, omega, dual=None):
+        """(I - (w omega^T + omega w^T) / (2 s)) / s; shape (..., dim, dim).
+
+        ``dual`` is a flux w of the same shape as ``omega``; the default
+        w = omega / s gives the exact Hessian I/s - omega omega^T / s^3. For
+        |w| < 1 the matrix is symmetric positive definite with eigenvalues
+        at least (1 - |w| |omega| / s) / s.
+        """
         omega, s = self._scale(omega)
-        eye = np.eye(self.dim)
-        outer = omega[..., :, None] * omega[..., None, :]
-        return eye / s[..., None, None] - outer / (s**3)[..., None, None]
+        w = omega / s[..., None] if dual is None else np.asarray(dual, dtype=float)
+        sym = 0.5 * (w[..., :, None] * omega[..., None, :] + omega[..., :, None] * w[..., None, :])
+        return (np.eye(self.dim) - sym / s[..., None, None]) / s[..., None, None]
 
 
 def sgn_select(omega):

@@ -76,6 +76,30 @@ class TestRun:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("patch,message", [
+        ({"snapshot_every": "5"}, "snapshot_every must be a number"),
+        ({"mesh": {**BASE["mesh"], "n": "16"}}, "mesh.n must be a number"),
+        ({"energy": {**BASE["energy"], "kappa": "0.2"}}, "energy.kappa must be a number"),
+        ({"mesh": [BASE["mesh"]]}, "mesh: expected an object"),
+        ({"flow": {**BASE["flow"], "inner_max_iters": 2.5}},
+         "flow.inner_max_iters must be an integer"),
+        ({"forcing": {"kind": "constant", "bulk": float("nan"), "boundary": 0.0}},
+         "forcing.bulk must be finite"),
+        ({"forcing": {"kind": "constant", "bulk": 0.0, "boundary": float("nan")}},
+         "forcing.boundary must be finite"),
+    ])
+    def test_ill_typed_field_rejected(self, tmp_path, capsys, patch, message):
+        cfg = write_cfg(tmp_path, dict(BASE, **patch))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(BASE, initial={"kind": "random"}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_initial_rejected(self, tmp_path):
         bad = dict(BASE, initial={"kind": "constant", "value": 1.5})
         cfg = write_cfg(tmp_path, bad)

@@ -1,9 +1,14 @@
 """Configuration resolution and the initial/forcing builders."""
 
+import copy
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acgf.config import config_from_dict
+from acgf.config import RunConfig, config_from_dict
 from acgf.errors import ConfigError
 
 
@@ -104,3 +109,80 @@ def test_initial_file_read_once_and_copied(tmp_path, monkeypatch):
     u0[:] = 0.0
     assert np.array_equal(cfg.build_all()[3], values)
     assert len(reads) == 1
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"initial": {"kind": "file", "path": 3}}, "initial.path must be a string"),
+    ({"initial": {"kind": "file"}}, "initial.path: required"),
+    ({"output_dir": {"a": 1}}, "output_dir must be a string"),
+    ({"initial": {"kind": "random"}, "seed": -1}, "seed: must be >= 0"),
+    ({"snapshot_every": -1}, "snapshot_every: must be >= 0"),
+    ({"flow": {"semi_implicit_G": "false"}}, "flow.semi_implicit_G must be true or false"),
+    ({"energy": {"bulk_potential": {"kind": "indicator", "lo": "-1"}}},
+     "energy.bulk_potential.lo must be a number"),
+    ({"energy": {"perturbation": {"bulk": None}}}, "energy.perturbation.bulk: expected an object"),
+    ({"energy": {"perturbation": {"kind": "tabulated", "points": [[0, 1], [1]]}}},
+     "energy.perturbation.points must be a list of [t, value] pairs"),
+    ({"forcing": {"kind": "tabulated", "times": 0.0, "bulk": [1.0], "boundary": [1.0]}},
+     "forcing.times must be a list of numbers"),
+])
+def test_ill_typed_field_named(raw, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(raw)
+
+
+# every section and optional field present, so each can be replaced by junk
+FULL = {
+    "mesh": {"kind": "disc", "R": 1.0, "nr": 4, "ntheta": 8},
+    "energy": {
+        "kappa": 0.2, "eps": 0.5, "delta": 0.1, "lambda": 0.1,
+        "bulk_potential": {"kind": "tabulated", "points": [[-1, 0.5], [0, 0], [1, 0.5]]},
+        "bdry_potential": {"kind": "indicator", "lo": -1.0, "hi": 1.0},
+        "perturbation": {"bulk": {"kind": "tabulated", "points": [[-1, 1], [1, -1]]},
+                         "boundary": {"kind": "neg_quadratic"}},
+    },
+    "flow": {"tau": 0.01, "T": 0.02, "inner_tol": 1e-8, "inner_max_iters": 50,
+             "semi_implicit_G": True},
+    "initial": {"kind": "two_phase", "amplitude": 0.9, "value": 0.1},
+    "forcing": {"kind": "tabulated", "times": [0.0, 0.01], "bulk": [0.1, 0.2],
+                "boundary": [0.0, 0.1]},
+    "snapshot_every": 1, "seed": 2, "output_dir": "out",
+}
+
+
+def _paths(node, prefix=()):
+    """Key paths of every value nested in node."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+KINDS = ["interval", "disc", "indicator", "quadratic", "tabulated", "neg_quadratic", "none",
+         "constant", "two_phase", "file", "random", "zero"]
+# numbers stay small: a huge but valid mesh size would allocate that many nodes
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 40) | st.floats(-40.0, 40.0)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    | st.text(max_size=3) | st.sampled_from(KINDS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "points", "path", "lo", "bulk", "times"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_paths(FULL))), JSON)
+def test_any_json_value_yields_config_or_config_error(path, value):
+    raw = copy.deepcopy(FULL)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        assert isinstance(config_from_dict(raw), RunConfig)
+    except ConfigError:
+        pass

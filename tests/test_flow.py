@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import acgf
 from acgf.energy import EnergyParams, ForcingField, SmoothPerturbation, phi_regularized
 from acgf.errors import ConfigError, NonconvergenceError, SolverError
-from acgf.flow import FlowParams, default_inner_tol, proximal_step, resolvent, run_flow
+from acgf.flow import (FlowParams, _dual_step, default_inner_tol, proximal_step, resolvent,
+                       run_flow)
 from acgf.meshes import DiscMesh, IntervalMesh, h_inner, h_norm
 from acgf.potentials import indicator
 
@@ -67,6 +71,19 @@ class TestProximalStep:
         with pytest.raises(NonconvergenceError) as exc:
             proximal_step(m, p, fp, u)
         assert exc.value.residual is not None and exc.value.residual > 0
+
+    @pytest.mark.parametrize("delta", [0.01, 0.001])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_sharp_interface_takes_full_newton_steps(self, delta, eps):
+        # where |grad u| >> delta the exact TV Hessian lets full steps overshoot
+        # (22-48 damped iterates here); the primal-dual block takes full steps
+        m = DiscMesh(1.0, 16, 32)
+        p = make_params(eps=eps, delta=delta,
+                        perturbation=SmoothPerturbation.neg_quadratic(-1, 1))
+        u = np.where(m.coords[:, 0] < 0.0, 0.9, -0.9)
+        _, rec = proximal_step(m, p, FlowParams(tau=1 / 128, T=1.0), u)
+        assert rec.inner_iters <= 16
+        assert rec.inner_backtracks == 0
 
     def test_non_finite_newton_direction_stalls_as_solver_error(self, monkeypatch):
         class NaNFactor:
@@ -272,3 +289,29 @@ def test_flow_params_validation():
         FlowParams(tau=0.1, T=1.0, inner_max_iters=0)
     assert FlowParams(tau=0.3, T=1.0).num_steps == 4
     assert FlowParams(tau=0.25, T=1.0).num_steps == 4
+
+
+@st.composite
+def dual_and_step(draw):
+    """Per-cell flux w with |w| <= 0.999 and an arbitrary update dw."""
+    n = draw(st.integers(1, 6))
+    dim = draw(st.sampled_from([1, 2]))
+    w = draw(arrays(float, (n, dim), elements=st.floats(-1.0, 1.0)))
+    norms = np.linalg.norm(w, axis=1, keepdims=True)
+    w = np.where(norms > 0.999, 0.999 * w / np.maximum(norms, 1e-300), w)
+    dw = draw(arrays(float, (n, dim), elements=st.floats(-5.0, 5.0)))
+    return w, dw
+
+
+@settings(max_examples=300, deadline=None)
+@given(dual_and_step())
+def test_dual_step_stops_short_of_the_unit_ball_boundary(case):
+    w, dw = case
+    beta = _dual_step(w, dw)
+    assert 0.0 < beta <= 1.0
+    # by convexity, 0.99 of the way to the boundary leaves 1% of each cell's slack
+    wn = np.linalg.norm(w, axis=1)
+    assert np.all(np.linalg.norm(w + beta * dw, axis=1) <= 1.0 - 0.01 * (1.0 - wn) + 1e-12)
+    if beta < 1.0:  # the closed-form root puts some cell exactly on the boundary
+        reach = np.linalg.norm(w + beta / 0.99 * dw, axis=1).max()
+        assert reach == pytest.approx(1.0, abs=1e-9)
