@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.linalg.blas import dsbmv
 
 from .errors import ConfigError
 from .meshes import bulk_gradient, h_norm, surface_gradient
@@ -348,13 +348,14 @@ def grad_phi_regularized(mesh, p, u):
 
 
 def hessian(mesh, p, u, shift, dual=None):
-    """Euclidean Hessian of the regularized energy at u plus diag(shift), as CSC.
+    """Euclidean Hessian of the regularized energy at u plus diag(shift), as a band.
 
-    ``shift`` is a scalar or a nodal vector. ``dual`` is an optional per-cell
-    flux that replaces grad u / s in the total-variation blocks (see
-    ``SmoothedNorm.hess``); None gives the exact Hessian. The matrix is
-    assembled with one scatter-add into the mesh's cached pattern and is
-    exactly symmetric.
+    Rows and columns follow ``mesh.band_order``, and entry (i, j) with
+    0 <= i - j <= ``mesh.bandwidth`` sits at ``[i - j, j]`` (LAPACK lower band
+    storage). ``shift`` is a scalar or a nodal vector. ``dual`` is an
+    optional per-cell flux that replaces grad u / s in the total-variation
+    blocks (see ``SmoothedNorm.hess``); None gives the exact Hessian. One
+    scatter-add into the mesh's cached slots stores each symmetric pair once.
     """
     u = np.asarray(u, dtype=float)
     g = bulk_gradient(mesh, u)
@@ -362,24 +363,23 @@ def hessian(mesh, p, u, shift, dual=None):
     a = (f.hess(g, dual) + p.kappa**2 * np.eye(mesh.dim)) * mesh.cell_weights[:, None, None]
     ops = mesh.cell_ops
     blocks = ops.transpose(0, 2, 1) @ a @ ops
-    # symmetrize so that H[i, j] and H[j, i] add the same numbers in the same order
-    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
     diag = np.asarray(p.bulk_potential.yosida_derivative(p.lam, u)) * mesh.w_bulk
     bn = mesh.boundary_nodes
     diag[bn] += np.asarray(p.bdry_potential.yosida_derivative(p.lam, u[bn])) * mesh.w_bdry
     seg = np.zeros((mesh.seg_nodes.shape[0], 4))
     if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
         seg = np.outer(p.eps**2 * mesh.seg_weights / mesh.seg_len**2, [1.0, -1.0, -1.0, 1.0])
-    pat = mesh.hessian_pattern
     contrib = np.concatenate([blocks.ravel(), diag + shift, seg.ravel()])
-    data = np.bincount(pat.scatter, weights=contrib, minlength=len(pat.indices))
-    n = mesh.num_nodes
-    return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(n, n))
+    return np.bincount(mesh.band_slots, contrib)[:-1].reshape(mesh.bandwidth + 1, -1)
 
 
 def hess_phi_vec(mesh, p, u, v):
     """Euclidean Hessian-vector product of the regularized energy at u."""
-    return hessian(mesh, p, u, 0.0) @ np.asarray(v, dtype=float)
+    order = mesh.band_order
+    out = np.empty(mesh.num_nodes)
+    out[order] = dsbmv(mesh.bandwidth, 1.0, hessian(mesh, p, u, 0.0), np.asarray(v, float)[order],
+                       lower=1)
+    return out
 
 
 def euler_lagrange_residual(mesh, p, u, ustar):

@@ -13,10 +13,12 @@ keep the subproblem strongly convex.
 
 The inner solver is the primal-dual Newton method of Chan, Golub and
 Mulet (SIAM J. Sci. Comput. 20(6), 1999) with an Armijo backtracking line
-search on J. Each iterate assembles the sparse Hessian of J and solves for
-the step d with one sparse LU factorization in symmetric mode, but the
-total-variation block of every cell uses a dual flux w in place of
-grad v / s (s = sqrt(|grad v|^2 + delta^2)):
+search on J. Each iterate assembles the Newton matrix of J as a band in the
+mesh's ``band_order`` and solves for the step d with one banded Cholesky
+factorization. J is strongly convex, so that matrix is symmetric positive
+definite; a factorization that fails means the subproblem has lost strong
+convexity and raises SolverError. The total-variation block of every cell
+uses a dual flux w in place of grad v / s (s = sqrt(|grad v|^2 + delta^2)):
 
     (I - (w grad v^T + grad v w^T) / (2 s)) / s,
 
@@ -40,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from . import energy as en
 from .errors import ConfigError, NonconvergenceError, SolverError
@@ -150,11 +152,12 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
         if implicit_perturbation:
             shift = shift + en._perturbation_hess_diag(mesh, p, v)
         try:
-            lu = splu(en.hessian(mesh, p, v, shift, w), permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        except RuntimeError as e:  # SuperLU reports a singular factor this way
-            raise SolverError(f"Newton system is singular at gradient norm {gnorm:.3e}") from e
-        d = lu.solve(-pg)
+            factor = cholesky_banded(en.hessian(mesh, p, v, shift, w), lower=True)
+        except LinAlgError as e:  # the subproblem has lost strong convexity
+            raise SolverError(
+                f"Newton matrix is not positive definite at gradient norm {gnorm:.3e}") from e
+        d = np.empty_like(pg)
+        d[mesh.band_order] = cho_solve_banded((factor, True), -pg[mesh.band_order])
         g, bd = bulk_gradient(mesh, v), bulk_gradient(mesh, d)
         s = np.sqrt(np.einsum("nd,nd->n", g, g) + p.delta**2)[:, None]
         dw = (bd - w * np.einsum("nd,nd->n", g, bd)[:, None] / s) / s + g / s - w

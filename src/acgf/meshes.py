@@ -20,54 +20,51 @@ the corner values against the corner coordinates: this annihilates
 constants and reproduces every globally affine field exactly on both
 mesh kinds.
 
-The sparsity pattern of the energy Hessian (cell blocks, the diagonal and
-the boundary-loop stencil) is a property of the mesh alone; it is built
-once, on first use, so that every Newton iterate assembles into it with a
-single scatter-add.
+Nodes are numbered ring by ring, so the energy Hessian is a band. Its
+storage order ``band_order`` (the identity on the interval; on the disc
+each ring at spokes 0, 1, ntheta-1, 2, ntheta-2, ...) folds the periodic
+seam, so the bandwidth is ntheta + 2 rather than 2 ntheta - 1. Where each
+Hessian contribution lands in the band depends on the mesh alone and is
+built once, on first use. A mesh whose band would hold more than
+``MAX_BAND_ENTRIES`` numbers is rejected before anything is allocated.
 """
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 
 
-class HessianPattern(NamedTuple):
-    """CSC structure of the energy Hessian and where each contribution lands.
+MAX_BAND_ENTRIES = 2**24  # nodes * (bandwidth + 1) doubles: 128 MiB per Newton band
 
-    Contributions are ordered as: the k x k block of every cell (cells in
-    order, each block row-major over ``cell_nodes``), one diagonal entry per
-    node, then the 2 x 2 block of every boundary segment. Contribution i is
-    added to ``data[scatter[i]]``.
-    """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    scatter: np.ndarray
+def _check_band_size(fields, nodes, bandwidth):
+    entries = nodes * (bandwidth + 1)
+    if entries > MAX_BAND_ENTRIES:
+        raise ConfigError(f"{fields}: {nodes} nodes need a Newton band of {entries} numbers, "
+                          f"more than the {MAX_BAND_ENTRIES} allowed")
 
 
 class _Mesh:
     """Structure shared by the mesh kinds and derived lazily from their arrays."""
 
     @functools.cached_property
-    def hessian_pattern(self):
-        """Sparse structure of the energy Hessian, built on first use."""
-        n = self.num_nodes
-        k = self.cell_nodes.shape[1]
-        sn = self.seg_nodes
-        rows = np.concatenate([np.repeat(self.cell_nodes, k, axis=1).ravel(), np.arange(n),
-                               np.repeat(sn, 2, axis=1).ravel()])
-        cols = np.concatenate([np.tile(self.cell_nodes, (1, k)).ravel(), np.arange(n),
-                               np.tile(sn, (1, 2)).ravel()])
-        keys, scatter = np.unique(cols * n + rows, return_inverse=True)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-        pattern = HessianPattern(indptr.astype(np.int32), (keys % n).astype(np.int32),
-                                 scatter.ravel())
-        for arr in pattern:
-            arr.flags.writeable = False
-        return pattern
+    def band_slots(self):
+        """Flat index of every Hessian contribution in the lower band, built on first use.
+
+        Contributions are ordered as: the k x k block of every cell (cells in
+        order, each block row-major over ``cell_nodes``), one diagonal entry per
+        node, then the 2 x 2 block of every boundary segment. Those above the
+        diagonal land in one slot past the band, which ``energy.hessian`` drops.
+        """
+        n, bw, k, sn = self.num_nodes, self.bandwidth, self.cell_nodes.shape[1], self.seg_nodes
+        pos = np.argsort(self.band_order)
+        rows = pos[np.concatenate([np.repeat(self.cell_nodes, k, axis=1).ravel(), np.arange(n),
+                                   np.repeat(sn, 2, axis=1).ravel()])]
+        cols = pos[np.concatenate([np.tile(self.cell_nodes, (1, k)).ravel(), np.arange(n),
+                                   np.tile(sn, (1, 2)).ravel()])]
+        return np.where(rows >= cols, (rows - cols) * n + cols, (bw + 1) * n)
 
 
 class IntervalMesh(_Mesh):
@@ -81,10 +78,13 @@ class IntervalMesh(_Mesh):
         n = int(n)
         if not (L > 0.0 and n >= 2):
             raise ConfigError(f"interval mesh needs L > 0 and n >= 2, got L={L}, n={n}")
+        self.bandwidth = 1
+        _check_band_size("mesh.n", n + 1, self.bandwidth)
         self.L = L
         self.n = n
         h = L / n
         self.num_nodes = n + 1
+        self.band_order = np.arange(n + 1)
         x = np.arange(n + 1) * h
         self.coords = np.column_stack([x, np.zeros(n + 1)])
         self.w_bulk = np.full(n + 1, h)
@@ -118,6 +118,8 @@ class DiscMesh(_Mesh):
             raise ConfigError(
                 f"disc mesh needs R > 0, nr >= 2, ntheta >= 3, got R={R}, nr={nr}, ntheta={ntheta}"
             )
+        self.bandwidth = ntheta + 2  # what the seam fold of band_order below achieves
+        _check_band_size("mesh.nr, mesh.ntheta", nr * ntheta, self.bandwidth)
         self.R, self.nr, self.ntheta = R, nr, ntheta
         dr = R / (nr - 0.5)
         dth = 2.0 * np.pi / ntheta
@@ -126,6 +128,9 @@ class DiscMesh(_Mesh):
         thetas = np.arange(ntheta) * dth
         rr, tt = np.meshgrid(radii, thetas, indexing="ij")
         self.num_nodes = nr * ntheta
+        k = np.arange(ntheta)
+        fold = np.where(k % 2, (k + 1) // 2, -(k // 2)) % ntheta  # spokes 0, 1, -1, 2, -2, ...
+        self.band_order = (np.arange(nr)[:, None] * ntheta + fold).ravel()
         self.coords = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
 
         # node quadrature: annular sector of the dual (edge-midpoint) radii

@@ -7,6 +7,7 @@ decimal, which round-trips float64 bit-exactly.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -63,26 +64,43 @@ def snapshot_to_csv(mesh, values):
 
 
 def read_snapshot_values(path, expected_nodes):
-    """Read the value column of a snapshot CSV, ordered by node id."""
+    """Read the value column of a snapshot CSV, ordered by node id.
+
+    Every row must carry an integer node id of this mesh, once, and a finite value.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"initial.path: cannot read {path}: {e}") from e
     if not lines or not lines[0].startswith("node_id"):
         raise ConfigError(f"initial.path: {path} is not a snapshot CSV")
-    values = np.full(expected_nodes, np.nan)
-    for ln in lines[1:]:
+    values = [None] * expected_nodes
+    for k, ln in enumerate(lines[1:], 2):  # k counts non-blank rows, the header is row 1
         parts = ln.split(",")
         if len(parts) != 5:
-            raise ConfigError(f"initial.path: malformed row in {path}: {ln!r}")
+            raise _row_error(path, k, ln, "expected 5 comma-separated fields")
+        if not parts[0].isdecimal():  # int() would also take signs, spaces and "1_0"
+            raise _row_error(path, k, ln, "node_id must be a non-negative integer")
         idx = int(parts[0])
-        if not 0 <= idx < expected_nodes:
-            raise ConfigError(f"initial.path: node id {idx} out of range for this mesh")
-        values[idx] = float(parts[4])
-    if np.any(np.isnan(values)):
+        try:
+            value = float(parts[4])
+        except ValueError:
+            raise _row_error(path, k, ln, "value must be a number") from None
+        if idx >= expected_nodes:
+            raise _row_error(path, k, ln, f"node id {idx} out of range for this mesh")
+        if not math.isfinite(value):
+            raise _row_error(path, k, ln, "value must be finite")
+        if values[idx] is not None:
+            raise _row_error(path, k, ln, f"node id {idx} appears twice")
+        values[idx] = value
+    if len(lines) - 1 < expected_nodes:  # every row has filled a distinct node
         raise ConfigError(f"initial.path: {path} does not cover every node of this mesh")
-    return values
+    return np.array(values)
+
+
+def _row_error(path, k, ln, why):
+    return ConfigError(f"initial.path: {path} row {k} ({ln!r}): {why}")
 
 
 def write_run_outputs(outdir, mesh, cfg_echo, trace, snapshots):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import acgf.energy
 from acgf.cli import main
 from acgf.config import config_from_dict, load_config
 from acgf.errors import ConfigError
@@ -28,6 +29,9 @@ DISC = {
     "initial": {"kind": "two_phase", "amplitude": 0.9},
     "seed": 3,
 }
+
+
+SNAPSHOT_ROWS = ["node_id,x,y,is_boundary,value"] + [f"{i},0,0,0,0.5" for i in range(17)]
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -87,6 +91,7 @@ class TestRun:
          "forcing.bulk must be finite"),
         ({"forcing": {"kind": "constant", "bulk": 0.0, "boundary": float("nan")}},
          "forcing.boundary must be finite"),
+        ({"mesh": {"kind": "disc", "nr": 4294967296.0}}, "mesh.nr, mesh.ntheta: "),
     ])
     def test_ill_typed_field_rejected(self, tmp_path, capsys, patch, message):
         cfg = write_cfg(tmp_path, dict(BASE, **patch))
@@ -123,6 +128,41 @@ class TestRun:
         cfg2 = load_config(write_cfg(tmp_path, restart, "restart.json"))
         mesh, p, _, u0, _ = cfg2.build_all()
         assert np.array_equal(u0, values)
+
+    @pytest.mark.parametrize("line,row,message", [
+        (5, "3.5,0,0,0,0.5", "node_id must be a non-negative integer"),
+        (5, "3_0,0,0,0,0.5", "node_id must be a non-negative integer"),
+        (5, "3,0,0,0,half", "value must be a number"),
+        (5, "3,0,0,0,inf", "value must be finite"),
+        (5, "3,0,0,0,nan", "value must be finite"),
+        (19, "3,0,0,0,0.25", "node id 3 appears twice"),
+    ], ids=["fractional-id", "underscored-id", "text-value", "inf", "nan", "duplicate-id"])
+    def test_malformed_snapshot_row_rejected(self, tmp_path, capsys, line, row, message):
+        snap = tmp_path / "snap.csv"
+        snap.write_text("\n".join(SNAPSHOT_ROWS[:line - 1] + [row] + SNAPSHOT_ROWS[line:]) + "\n")
+        wells = {"kind": "quadratic", "c": 1.0}
+        cfg = write_cfg(tmp_path, dict(BASE, initial={"kind": "file", "path": str(snap)},
+                                       energy={**BASE["energy"], "bulk_potential": wells,
+                                               "bdry_potential": wells}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"initial.path: {snap} row {line} ({row!r}): {message}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_undecodable_snapshot_rejected(self, tmp_path, capsys):
+        snap = tmp_path / "snap.csv"
+        snap.write_bytes(b"node_id,x,y,is_boundary,value\n0,0,0,0,\xff\n")
+        cfg = write_cfg(tmp_path, dict(BASE, initial={"kind": "file", "path": str(snap)}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"initial.path: cannot read {snap}" in capsys.readouterr().err
+
+    def test_indefinite_newton_matrix_exits_1(self, tmp_path, capsys, monkeypatch):
+        hessian = acgf.energy.hessian
+        monkeypatch.setattr(acgf.energy, "hessian", lambda *a: -hessian(*a))
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "step 1: Newton matrix is not positive definite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigEcho:

@@ -163,9 +163,8 @@ def _paths(node, prefix=()):
 
 KINDS = ["interval", "disc", "indicator", "quadratic", "tabulated", "neg_quadratic", "none",
          "constant", "two_phase", "file", "random", "zero"]
-# numbers stay small: a huge but valid mesh size would allocate that many nodes
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-10, 40) | st.floats(-40.0, 40.0)
+    st.none() | st.booleans() | st.integers() | st.floats()
     | st.sampled_from([float("nan"), float("inf"), -float("inf")])
     | st.text(max_size=3) | st.sampled_from(KINDS),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(

@@ -86,11 +86,7 @@ class TestProximalStep:
         assert rec.inner_backtracks == 0
 
     def test_non_finite_newton_direction_stalls_as_solver_error(self, monkeypatch):
-        class NaNFactor:
-            def solve(self, b):
-                return np.full_like(b, np.nan)
-
-        monkeypatch.setattr(acgf.flow, "splu", lambda *a, **kw: NaNFactor())
+        monkeypatch.setattr(acgf.flow, "cho_solve_banded", lambda cb, b: np.full_like(b, np.nan))
         m = IntervalMesh(1.0, 16)
         u = np.random.default_rng(5).uniform(-0.9, 0.9, m.num_nodes)
         with pytest.raises(SolverError, match="inner line search stalled"):
@@ -98,6 +94,14 @@ class TestProximalStep:
 
 
 class TestRunFlow:
+    def test_indefinite_newton_matrix_is_a_solver_error(self, monkeypatch):
+        hessian = acgf.energy.hessian
+        monkeypatch.setattr(acgf.energy, "hessian", lambda *a: -hessian(*a))
+        m = DiscMesh(1.0, 4, 8)
+        u = np.random.default_rng(5).uniform(-0.9, 0.9, m.num_nodes)
+        with pytest.raises(SolverError, match="step 1: Newton matrix is not positive definite"):
+            run_flow(m, make_params(), FlowParams(tau=0.1, T=1.0), u)
+
     def test_pure_convex_dissipation_any_tau(self):
         for mesh in (IntervalMesh(1.0, 32), DiscMesh(1.0, 6, 12)):
             for tau in (0.05, 0.5, 2.0):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acgf.errors import ConfigError
 from acgf.meshes import (
+    MAX_BAND_ENTRIES,
     DiscMesh,
     IntervalMesh,
     build_mesh,
@@ -174,3 +177,39 @@ def test_build_mesh_specs():
         build_mesh({"kind": "torus"})
     with pytest.raises(ConfigError):
         build_mesh({"kind": "disc", "R": -1.0, "nr": 4, "ntheta": 8})
+
+
+class TestBand:
+    @staticmethod
+    def spread(mesh):
+        """Largest distance in band positions between two nodes of one cell or segment."""
+        pos = np.empty(mesh.num_nodes, dtype=int)
+        pos[mesh.band_order] = np.arange(mesh.num_nodes)
+        return max(int(np.ptp(pos[nodes], axis=1).max(initial=0))
+                   for nodes in (mesh.cell_nodes, mesh.seg_nodes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(3, 41))
+    def test_disc_band_order_folds_the_seam(self, nr, ntheta):
+        m = DiscMesh(1.0, nr, ntheta)
+        assert np.array_equal(np.sort(m.band_order), np.arange(m.num_nodes))
+        assert m.bandwidth == ntheta + 2
+        assert self.spread(m) == m.bandwidth
+
+    def test_interval_band_is_tridiagonal(self, interval):
+        assert np.array_equal(interval.band_order, np.arange(interval.num_nodes))
+        assert self.spread(interval) == interval.bandwidth == 1
+
+    @pytest.mark.parametrize("spec,fields", [
+        ({"kind": "interval", "n": 2**23}, "mesh.n: "),
+        ({"kind": "disc", "nr": 4294967296, "ntheta": 32}, "mesh.nr, mesh.ntheta: "),
+        ({"kind": "disc", "nr": 2, "ntheta": 10**18}, "mesh.nr, mesh.ntheta: "),
+        ({"kind": "disc", "nr": 256, "ntheta": 256}, "mesh.nr, mesh.ntheta: "),
+    ])
+    def test_band_above_the_ceiling_rejected(self, spec, fields):
+        with pytest.raises(ConfigError, match=fields):
+            build_mesh(spec)
+
+    def test_largest_documented_disc_fits(self):
+        m = DiscMesh(1.0, 128, 256)
+        assert m.num_nodes * (m.bandwidth + 1) <= MAX_BAND_ENTRIES
