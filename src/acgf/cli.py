@@ -76,15 +76,16 @@ def _build_parser():
 
 
 def _threads(args):
-    if args.threads is not None:
-        return max(1, args.threads)
+    source, threads = "--threads", args.threads
     env = os.environ.get("ACGF_THREADS")
-    if env:
+    if threads is None and env:
         try:
-            return max(1, int(env))
+            source, threads = "ACGF_THREADS", int(env)
         except ValueError:
             raise ConfigError(f"ACGF_THREADS: not an integer: {env!r}")
-    return 1
+    if threads is not None and threads < 1:
+        raise ConfigError(f"{source}: must be >= 1, got {threads}")
+    return threads or 1
 
 
 def main(argv=None):

@@ -28,8 +28,7 @@ _ENERGY_DEFAULTS = {
     "bdry_potential": {"kind": "indicator", "lo": -1.0, "hi": 1.0},
     "perturbation": {"kind": "none"},
 }
-_FLOW_DEFAULTS = {"tau": 0.01, "T": 0.5, "inner_tol": None, "inner_max_iters": 200,
-                  "semi_implicit_G": True}
+_FLOW_DEFAULTS = {"tau": 0.01, "T": 0.5, "inner_tol": None, "inner_max_iters": 200}
 # numeric fields per section, True where the value must be integral
 _NUMBERS = {
     "mesh": {"L": False, "n": True, "R": False, "nr": True, "ntheta": True},
@@ -37,6 +36,18 @@ _NUMBERS = {
     "flow": {"tau": False, "T": False, "inner_tol": False, "inner_max_iters": True},
     "initial": {"value": False, "amplitude": False},
 }
+# allowed keys per section, the union over its kinds; "semi_implicit_G" is
+# kept so that older echoes still parse, and only its value true is accepted
+_KEYS = {
+    "": {"mesh", "energy", "flow", "initial", "forcing", "output_dir", "snapshot_every", "seed"},
+    "mesh": {"kind", "L", "n", "R", "nr", "ntheta"},
+    "energy": set(_ENERGY_DEFAULTS),
+    "flow": {*_FLOW_DEFAULTS, "semi_implicit_G"},
+    "initial": {"kind", "value", "amplitude", "path"},
+    "forcing": {"kind", "bulk", "boundary", "times"},
+}
+_WELL_KEYS = {"kind", "lo", "hi", "c", "points"}
+_PERTURBATION_KEYS = {"kind", "points", "bulk", "boundary"}
 
 
 @dataclass
@@ -85,7 +96,6 @@ class RunConfig:
             tau=float(f["tau"]), T=float(f["T"]),
             inner_tol=None if f["inner_tol"] is None else float(f["inner_tol"]),
             inner_max_iters=int(f["inner_max_iters"]),
-            semi_implicit_g=bool(f["semi_implicit_G"]),
         )
 
     def build_initial(self, mesh, params):
@@ -182,10 +192,18 @@ def _series(path, value, errors, pairs=False):
     return [(f"{path}[{i}]", x, False) for i, x in enumerate(rows)]
 
 
+def _unknown_keys(path, spec, allowed):
+    return [f"{path}{key}: unknown field (allowed: {', '.join(sorted(allowed))})"
+            for key in spec if key not in allowed]
+
+
 def _type_errors(raw, sections):
-    """Errors naming every field whose value has the wrong JSON type or is not finite."""
-    errors = [f"{key}: must be >= 0" for key in ("snapshot_every", "seed")
-              if _number_error(key, raw.get(key, 0), True) is None and raw.get(key, 0) < 0]
+    """Errors naming every unknown field and every value of the wrong JSON type or not finite."""
+    errors = _unknown_keys("", raw, _KEYS[""])
+    for name, spec in sections.items():
+        errors += _unknown_keys(f"{name}.", spec, _KEYS[name])
+    errors += [f"{key}: must be >= 0" for key in ("snapshot_every", "seed")
+               if _number_error(key, raw.get(key, 0), True) is None and raw.get(key, 0) < 0]
     checks = [(key, raw[key], True) for key in ("snapshot_every", "seed") if key in raw]
     for name, fields in _NUMBERS.items():
         spec = sections[name]
@@ -194,22 +212,25 @@ def _type_errors(raw, sections):
     strings = (("output_dir", raw.get("output_dir", "")),
                ("initial.path", sections["initial"].get("path", "")))
     errors += [f"{path} must be a string, got {v!r}" for path, v in strings if not isinstance(v, str)]
-    implicit = sections["flow"]["semi_implicit_G"]
-    if not isinstance(implicit, bool):
-        errors.append(f"flow.semi_implicit_G must be true or false, got {implicit!r}")
+    scheme = sections["flow"].get("semi_implicit_G", True)
+    if scheme is not True:
+        errors.append("flow.semi_implicit_G: the fully implicit scheme was removed; "
+                      f"only true is accepted, got {scheme!r}")
 
     energy = sections["energy"]
-    specs = [(f"energy.{key}", energy[key]) for key in ("bulk_potential", "bdry_potential")]
+    specs = [(f"energy.{key}", energy[key], _WELL_KEYS)
+             for key in ("bulk_potential", "bdry_potential")]
     pert = energy["perturbation"]
     if pert is not None:
-        specs.append(("energy.perturbation", pert))
+        specs.append(("energy.perturbation", pert, _PERTURBATION_KEYS))
         if isinstance(pert, dict):
-            specs += [(f"energy.perturbation.{side}", pert[side])
+            specs += [(f"energy.perturbation.{side}", pert[side], _PERTURBATION_KEYS)
                       for side in ("bulk", "boundary") if side in pert]
-    for path, spec in specs:
+    for path, spec, allowed in specs:
         if not isinstance(spec, dict):
             errors.append(f"{path}: expected an object")
             continue
+        errors += _unknown_keys(f"{path}.", spec, allowed)
         checks += [(f"{path}.{key}", spec[key], False) for key in ("lo", "hi", "c") if key in spec]
         if "points" in spec:
             checks += _series(f"{path}.points", spec["points"], errors, pairs=True)
@@ -248,6 +269,7 @@ def config_from_dict(raw):
                                      "initial": initial, "forcing": forcing})
     if type_errors:
         raise ConfigError("; ".join(errors + type_errors))
+    flow.pop("semi_implicit_G", None)  # true, a no-op since there is one scheme
 
     cfg = RunConfig(
         mesh=mesh, energy=energy, flow=flow, initial=initial, forcing=forcing,

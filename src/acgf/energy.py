@@ -47,9 +47,6 @@ class _PerturbationPart:
     def G(self, r):
         raise NotImplementedError
 
-    def g_prime(self, r):
-        raise NotImplementedError
-
 
 class _NonePart(_PerturbationPart):
     kind = "none"
@@ -58,7 +55,6 @@ class _NonePart(_PerturbationPart):
         return np.zeros_like(np.asarray(r, dtype=float))
 
     G = g
-    g_prime = g
 
 
 class _NegQuadraticPart(_PerturbationPart):
@@ -77,10 +73,6 @@ class _NegQuadraticPart(_PerturbationPart):
         r = np.asarray(r, dtype=float)
         p = np.clip(r, self.lo, self.hi)
         return -0.5 * p * p - p * (r - p)
-
-    def g_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where((r >= self.lo) & (r <= self.hi), -1.0, 0.0)
 
 
 class _TabulatedPart(_PerturbationPart):
@@ -122,12 +114,6 @@ class _TabulatedPart(_PerturbationPart):
 
     def G(self, r):
         return self._antideriv(np.asarray(r, dtype=float)) - self.A0
-
-    def g_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        idx = np.clip(np.searchsorted(self.ts, r, side="right") - 1, 0, len(self.slopes) - 1)
-        out = self.slopes[idx]
-        return np.where((r < self.ts[0]) | (r > self.ts[-1]), 0.0, out)
 
 
 def _part_from_spec(spec, domain):
@@ -400,14 +386,6 @@ def _perturbation_partial(mesh, p, u):
     out = p.perturbation.bulk.g(u) * mesh.w_bulk
     bn = mesh.boundary_nodes
     out[bn] += p.perturbation.bdry.g(u[bn]) * mesh.w_bdry
-    return out
-
-
-def _perturbation_hess_diag(mesh, p, u):
-    u = np.asarray(u, dtype=float)
-    out = p.perturbation.bulk.g_prime(u) * mesh.w_bulk
-    bn = mesh.boundary_nodes
-    out[bn] += p.perturbation.bdry.g_prime(u[bn]) * mesh.w_bdry
     return out
 
 

@@ -93,14 +93,9 @@ def _integrated(mesh, states_a, states_b, tau, metric):
 
 
 def _run_states(cfg, **overrides):
-    """Run the flow for cfg with energy/flow overrides; returns (states, trace)."""
+    """Run the flow for cfg with energy overrides; returns (mesh, fp, states, trace)."""
     mesh, p, fp, u0, forcing = cfg.build_all()
-    ekeys = {k: v for k, v in overrides.items() if k in ("eps", "delta", "lam")}
-    if ekeys:
-        p = p.replace(**ekeys)
-    if "tau" in overrides:
-        fp.tau = overrides["tau"]
-    _, trace, snaps = run_flow(mesh, p, fp, u0, forcing, snapshot_every=1)
+    _, trace, snaps = run_flow(mesh, p.replace(**overrides), fp, u0, forcing, snapshot_every=1)
     states = [s for _, s in snaps]
     return mesh, fp, states, trace
 
@@ -246,8 +241,7 @@ def continuous_dependence_probe(cfg, magnitudes, threads=1, perturb="both"):
         u0p = np.clip(u0 + mag * xi_u, lo, hi)
         du0 = u0p - u0
         f = forcing if xi_th is None else forcing.with_offset(mag * xi_th)
-        fp_local = cfg.build_all()[2]
-        _, trace, snaps = run_flow(mesh, p, fp_local, u0p, f, snapshot_every=1)
+        _, trace, snaps = run_flow(mesh, p, fp, u0p, f, snapshot_every=1)
         states = [s for _, s in snaps]
         num = _sup_h_dist(mesh, states, base_states) ** 2
         num += _integrated(mesh, states, base_states, fp.tau, v0_distance_sq) ** 2

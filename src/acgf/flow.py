@@ -5,11 +5,10 @@ Each step minimizes the strongly convex functional
     J(v) = |v - u_prev|_H^2 / (2 tau) + Phi(v) + h_inner(G(u_prev) - theta_n, v)
 
 over nodal fields v, where Phi is the regularized convex energy. The
-perturbation is treated semi-implicitly (frozen at u_prev) by default so
-every subproblem stays convex regardless of the concavity of the wells'
-smooth parts; setting ``semi_implicit_g = False`` moves the perturbation
-inside the objective (fully implicit), which requires tau < 1/L_g to
-keep the subproblem strongly convex.
+non-convex perturbation G is treated semi-implicitly (frozen at u_prev),
+so every subproblem stays strongly convex whatever the concavity of the
+wells' smooth parts. The one stability guard is tau <= 1/(2 L_g), L_g the
+Lipschitz constant of the perturbation's derivative.
 
 The inner solver is the primal-dual Newton method of Chan, Golub and
 Mulet (SIAM J. Sci. Comput. 20(6), 1999) with an Armijo backtracking line
@@ -60,7 +59,6 @@ class FlowParams:
     T: float
     inner_tol: float | None = None
     inner_max_iters: int = 200
-    semi_implicit_g: bool = True
 
     def __post_init__(self):
         for name in ("tau", "T"):
@@ -77,16 +75,10 @@ class FlowParams:
         return int(math.ceil(self.T / self.tau - 1e-12))
 
     def check_stability(self, lipschitz):
-        if self.semi_implicit_g and lipschitz > 0.0 and self.tau > 0.5 / lipschitz:
+        if lipschitz > 0.0 and self.tau > 0.5 / lipschitz:
             raise ConfigError(
                 f"tau={self.tau} violates the semi-implicit stability guard "
-                f"tau <= 1/(2*L_g) = {0.5 / lipschitz}; reduce tau or switch "
-                "semi_implicit_g off"
-            )
-        if not self.semi_implicit_g and lipschitz > 0.0 and self.tau >= 1.0 / lipschitz:
-            raise ConfigError(
-                f"tau={self.tau} makes the fully implicit subproblem lose strong "
-                f"convexity; need tau < 1/L_g = {1.0 / lipschitz}"
+                f"tau <= 1/(2*L_g) = {0.5 / lipschitz}; reduce tau"
             )
 
 
@@ -103,35 +95,25 @@ class StepRecord:
     inner_backtracks: int = 0
 
 
-def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
-                           implicit_perturbation=False):
-    """Minimize |v - anchor|_H^2/(2 tau) + Phi(v) [+ perturbation] + (linear, v)_H.
+def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters):
+    """Minimize |v - anchor|_H^2/(2 tau) + Phi(v) + (linear, v)_H, starting at anchor.
 
     Returns (minimizer, iterations, certified gradient norm, line-search
-    halvings). ``linear`` may be None. Raises on NaN objectives or an
+    halvings). Raises on NaN objectives, a non-finite Newton direction or an
     exhausted budget.
     """
     m = mesh.mass
-    ml = m * linear if linear is not None else None
+    ml = m * linear
 
     def value(v):
         dv = v - anchor
-        val = 0.5 / tau * float(np.dot(m, dv * dv)) + en.phi_regularized(mesh, p, v)
-        if implicit_perturbation:
-            val += en.perturbation_energy(mesh, p, v)
-        if ml is not None:
-            val += float(np.dot(ml, v))
-        return val
+        return (0.5 / tau * float(np.dot(m, dv * dv)) + en.phi_regularized(mesh, p, v)
+                + float(np.dot(ml, v)))
 
     def partial(v):
-        out = m * (v - anchor) / tau + en._grad_partial(mesh, p, v)
-        if implicit_perturbation:
-            out += en._perturbation_partial(mesh, p, v)
-        if ml is not None:
-            out += ml
-        return out
+        return m * (v - anchor) / tau + en._grad_partial(mesh, p, v) + ml
 
-    v = np.asarray(v0, dtype=float).copy()
+    v = anchor.copy()
     w = np.zeros((mesh.cell_ops.shape[0], mesh.dim))  # dual flux, |w| < 1 per cell
     backtracks = 0
     fv = value(v)
@@ -148,21 +130,20 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, v0, tol, max_iters,
             raise SolverError("non-finite gradient in the inner solver")
         if gnorm <= tol:
             return v, it, gnorm, backtracks
-        shift = m / tau
-        if implicit_perturbation:
-            shift = shift + en._perturbation_hess_diag(mesh, p, v)
         try:
-            factor = cholesky_banded(en.hessian(mesh, p, v, shift, w), lower=True)
+            factor = cholesky_banded(en.hessian(mesh, p, v, m / tau, w), lower=True)
         except LinAlgError as e:  # the subproblem has lost strong convexity
             raise SolverError(
                 f"Newton matrix is not positive definite at gradient norm {gnorm:.3e}") from e
         d = np.empty_like(pg)
         d[mesh.band_order] = cho_solve_banded((factor, True), -pg[mesh.band_order])
+        slope = float(np.dot(pg, d))
+        if not math.isfinite(slope):  # a NaN or inf anywhere in d makes pg . d so
+            raise SolverError(f"non-finite Newton direction at gradient norm {gnorm:.3e}")
         g, bd = bulk_gradient(mesh, v), bulk_gradient(mesh, d)
         s = np.sqrt(np.einsum("nd,nd->n", g, g) + p.delta**2)[:, None]
         dw = (bd - w * np.einsum("nd,nd->n", g, bd)[:, None] / s) / s + g / s - w
         w += _dual_step(w, dw) * dw
-        slope = float(np.dot(pg, d))
         alpha = 1.0
         for _ in range(40):
             vn = v + alpha * d
@@ -203,20 +184,11 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None):
     if not np.all(np.isfinite(uprev)):
         raise SolverError("previous state contains non-finite values")
     tol = fp.inner_tol if fp.inner_tol is not None else default_inner_tol(mesh)
-    if fp.semi_implicit_g:
-        linear = en.gcal(mesh, p, uprev)
-        if theta_n is not None:
-            linear = linear - theta_n
-        implicit = False
-    else:
-        linear = -theta_n if theta_n is not None else None
-        implicit = True
-    if linear is not None and not np.any(linear):
-        linear = None
+    linear = en.gcal(mesh, p, uprev)
+    if theta_n is not None:
+        linear = linear - theta_n
     v, iters, residual, backtracks = _solve_strongly_convex(
-        mesh, p, fp.tau, uprev, linear, uprev, tol, fp.inner_max_iters,
-        implicit_perturbation=implicit,
-    )
+        mesh, p, fp.tau, uprev, linear, tol, fp.inner_max_iters)
     terms = en.energy_terms(mesh, p, v)
     phi = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
     rec = StepRecord(
@@ -276,5 +248,5 @@ def resolvent(mesh, p, w, inner_tol=None, inner_max_iters=200):
     if w.shape != (mesh.num_nodes,):
         raise ValueError(f"field has shape {w.shape}, mesh has {mesh.num_nodes} nodes")
     tol = inner_tol if inner_tol is not None else default_inner_tol(mesh)
-    v, _, _, _ = _solve_strongly_convex(mesh, p, 1.0, w, None, w, tol, inner_max_iters)
+    v, _, _, _ = _solve_strongly_convex(mesh, p, 1.0, w, np.zeros_like(w), tol, inner_max_iters)
     return v

@@ -92,6 +92,10 @@ class TestRun:
         ({"forcing": {"kind": "constant", "bulk": 0.0, "boundary": float("nan")}},
          "forcing.boundary must be finite"),
         ({"mesh": {"kind": "disc", "nr": 4294967296.0}}, "mesh.nr, mesh.ntheta: "),
+        ({"lamda": 0.001}, "lamda: unknown field"),
+        ({"flow": {**BASE["flow"], "dt": 5}}, "flow.dt: unknown field"),
+        ({"flow": {**BASE["flow"], "semi_implicit_G": False}},
+         "flow.semi_implicit_G: the fully implicit scheme was removed"),
     ])
     def test_ill_typed_field_rejected(self, tmp_path, capsys, patch, message):
         cfg = write_cfg(tmp_path, dict(BASE, **patch))
@@ -171,6 +175,25 @@ class TestConfigEcho:
         echo = cfg.resolved()
         reparsed = config_from_dict(json.loads(json.dumps(echo)))
         assert reparsed.resolved() == echo
+
+    def test_echo_with_the_removed_scheme_flag_reparses(self, tmp_path):
+        # as written before the fully implicit scheme was removed
+        echo = {**BASE, "energy": {
+            "kappa": 0.2, "eps": 0.0, "delta": 0.1, "lambda": 0.1,
+            "bulk_potential": {"kind": "indicator", "lo": -1.0, "hi": 1.0},
+            "bdry_potential": {"kind": "indicator", "lo": -1.0, "hi": 1.0},
+            "perturbation": {"kind": "neg_quadratic"}},
+            "flow": {"tau": 0.05, "T": 0.5, "inner_tol": 4.123105625617661e-09,
+                     "inner_max_iters": 200, "semi_implicit_G": True},
+            "output_dir": "out"}
+        cfg = load_config(write_cfg(tmp_path, echo))
+        assert cfg.resolved() == {**echo, "flow": {k: v for k, v in echo["flow"].items()
+                                                   if k != "semi_implicit_G"}}
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, echo, "echo.json"),
+                     "--out", str(out)]) == 0
+        assert main(["run", "--config", write_cfg(tmp_path, BASE), "--out", str(tmp_path / "b")]) == 0
+        assert (out / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
 
     def test_inner_tol_resolved_to_a_number(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, BASE))
@@ -254,6 +277,18 @@ class TestSweepCommands:
         a = json.loads((tmp_path / "thr" / "report.json").read_text())
         b = json.loads((tmp_path / "thr2" / "report.json").read_text())
         assert a["e_h"] == b["e_h"]
+
+
+@pytest.mark.parametrize("flag,env", [("0", None), ("-1", None), (None, "0"), (None, "-1")])
+def test_thread_count_below_one_rejected(tmp_path, capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("ACGF_THREADS", env)
+    args = ["sweep-eps", "--config", write_cfg(tmp_path, DISC), "--out", str(tmp_path / "o"),
+            "--eps-list", "0.5", "--eps0", "0.0"]
+    assert main(args + (["--threads", flag] if flag is not None else [])) == 2
+    source = "--threads" if flag is not None else "ACGF_THREADS"
+    assert f"{source}: must be >= 1, got {flag or env}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_subcommand_is_usage_error():

@@ -76,21 +76,6 @@ def test_multiple_errors_reported_together():
     assert "kappa" in msg and "tau" in msg
 
 
-def test_fully_implicit_flag_parses():
-    cfg = config_from_dict({
-        "energy": {"perturbation": {"kind": "neg_quadratic"}},
-        "flow": {"tau": 0.6, "T": 1.0, "semi_implicit_G": False},
-    })
-    fp = cfg.build_flow_params()
-    assert not fp.semi_implicit_g
-    # the fully implicit path has its own convexity guard
-    with pytest.raises(ConfigError):
-        config_from_dict({
-            "energy": {"perturbation": {"kind": "neg_quadratic"}},
-            "flow": {"tau": 1.2, "T": 2.0, "semi_implicit_G": False},
-        })
-
-
 def test_initial_file_read_once_and_copied(tmp_path, monkeypatch):
     import acgf.runio as runio
     from acgf.meshes import IntervalMesh
@@ -117,7 +102,7 @@ def test_initial_file_read_once_and_copied(tmp_path, monkeypatch):
     ({"output_dir": {"a": 1}}, "output_dir must be a string"),
     ({"initial": {"kind": "random"}, "seed": -1}, "seed: must be >= 0"),
     ({"snapshot_every": -1}, "snapshot_every: must be >= 0"),
-    ({"flow": {"semi_implicit_G": "false"}}, "flow.semi_implicit_G must be true or false"),
+    ({"flow": {"semi_implicit_G": "false"}}, "flow.semi_implicit_G: the fully implicit scheme"),
     ({"energy": {"bulk_potential": {"kind": "indicator", "lo": "-1"}}},
      "energy.bulk_potential.lo must be a number"),
     ({"energy": {"perturbation": {"bulk": None}}}, "energy.perturbation.bulk: expected an object"),
@@ -125,6 +110,21 @@ def test_initial_file_read_once_and_copied(tmp_path, monkeypatch):
      "energy.perturbation.points must be a list of [t, value] pairs"),
     ({"forcing": {"kind": "tabulated", "times": 0.0, "bulk": [1.0], "boundary": [1.0]}},
      "forcing.times must be a list of numbers"),
+    ({"lamda": 0.001}, "lamda: unknown field"),
+    ({"snapshot_evry": 1}, "snapshot_evry: unknown field"),
+    ({"flow": {"dt": 5}}, "flow.dt: unknown field"),
+    ({"mesh": {"kind": "disc", "nt": 8}}, "mesh.nt: unknown field"),
+    ({"energy": {"kapa": 0.2}}, "energy.kapa: unknown field"),
+    ({"initial": {"kind": "constant", "val": 0.5}}, "initial.val: unknown field"),
+    ({"forcing": {"kind": "constant", "bdry": 1.0}}, "forcing.bdry: unknown field"),
+    ({"energy": {"bulk_potential": {"kind": "indicator", "low": -1.0}}},
+     "energy.bulk_potential.low: unknown field"),
+    ({"energy": {"perturbation": {"kind": "tabulated", "point": [[0, 0], [1, 1]]}}},
+     "energy.perturbation.point: unknown field"),
+    ({"energy": {"perturbation": {"bulk": {"kind": "none", "c": 1.0}}}},
+     "energy.perturbation.bulk.c: unknown field"),
+    ({"flow": {"semi_implicit_G": False}}, "scheme was removed; only true is accepted, got False"),
+    ({"flow": {"semi_implicit_G": 1}}, "scheme was removed; only true is accepted, got 1"),
 ])
 def test_ill_typed_field_named(raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
