@@ -157,6 +157,9 @@ def main(argv=None):
     except SolverError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 1
+    except OSError as e:  # the output directory cannot be made or written
+        print(f"cannot write outputs: {e}", file=sys.stderr)
+        return 2
 
 
 def entry():

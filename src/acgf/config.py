@@ -36,18 +36,25 @@ _NUMBERS = {
     "flow": {"tau": False, "T": False, "inner_tol": False, "inner_max_iters": True},
     "initial": {"value": False, "amplitude": False},
 }
-# allowed keys per section, the union over its kinds; "semi_implicit_G" is
-# kept so that older echoes still parse, and only its value true is accepted
+# allowed keys of the sections without kinds; "semi_implicit_G" is kept so
+# that older echoes still parse, and only its value true is accepted
 _KEYS = {
     "": {"mesh", "energy", "flow", "initial", "forcing", "output_dir", "snapshot_every", "seed"},
-    "mesh": {"kind", "L", "n", "R", "nr", "ntheta"},
     "energy": set(_ENERGY_DEFAULTS),
     "flow": {*_FLOW_DEFAULTS, "semi_implicit_G"},
-    "initial": {"kind", "value", "amplitude", "path"},
-    "forcing": {"kind", "bulk", "boundary", "times"},
 }
-_WELL_KEYS = {"kind", "lo", "hi", "c", "points"}
-_PERTURBATION_KEYS = {"kind", "points", "bulk", "boundary"}
+# allowed keys besides "kind" of each kind of spec; a perturbation split into
+# sides has the keys "bulk" and "boundary", each a perturbation part
+_KIND_KEYS = {
+    "mesh": {kind: set(fields) for kind, fields in _MESH_DEFAULTS.items()},
+    "initial": {"constant": {"value"}, "two_phase": {"amplitude"}, "file": {"path"},
+                "random": {"amplitude"}},
+    "forcing": {"zero": set(), "constant": {"bulk", "boundary"},
+                "tabulated": {"times", "bulk", "boundary"}},
+    "well": {"indicator": {"lo", "hi"}, "quadratic": {"c"}, "tabulated": {"points"}},
+    "part": {"none": set(), "neg_quadratic": set(), "tabulated": {"points"}},
+}
+_DEFAULT_KIND = {"initial": "constant", "forcing": "zero", "part": "none"}
 
 
 @dataclass
@@ -120,8 +127,11 @@ class RunConfig:
             u = self._cache[key].copy()
         elif kind == "random":
             amp = float(spec.get("amplitude", 1.0))
-            rng = np.random.default_rng(self.seed)
-            u = rng.uniform(max(lo, -amp), min(hi, amp), size=mesh.num_nodes)
+            a, b = max(lo, -amp), min(hi, amp)
+            if not (a <= b and math.isfinite(b - a)):
+                raise ConfigError(f"initial.amplitude: {amp} leaves the empty or unbounded "
+                                  f"range [{a}, {b}] in the well domain [{lo}, {hi}]")
+            u = np.random.default_rng(self.seed).uniform(a, b, size=mesh.num_nodes)
         else:
             raise ConfigError(f"initial.kind: unknown kind {kind!r}")
         if np.any(u < lo) or np.any(u > hi):
@@ -192,16 +202,31 @@ def _series(path, value, errors, pairs=False):
     return [(f"{path}[{i}]", x, False) for i, x in enumerate(rows)]
 
 
-def _unknown_keys(path, spec, allowed):
-    return [f"{path}{key}: unknown field (allowed: {', '.join(sorted(allowed))})"
+def _unknown_keys(path, spec, allowed, kind=None):
+    which = "allowed" if kind is None else f"allowed for kind {kind}"
+    return [f"{path}{key}: unknown field ({which}: {', '.join(sorted(allowed))})"
             for key in spec if key not in allowed]
+
+
+def _kind_key_errors(path, spec, table):
+    """Errors naming the keys of spec that its kind does not have.
+
+    A spec of an unknown kind gets none here: its builder reports the kind.
+    """
+    kind = spec.get("kind", _DEFAULT_KIND.get(table))
+    kinds = _KIND_KEYS[table]
+    if not (isinstance(kind, str) and kind in kinds):
+        return []
+    return _unknown_keys(f"{path}.", spec, {"kind", *kinds[kind]}, kind)
 
 
 def _type_errors(raw, sections):
     """Errors naming every unknown field and every value of the wrong JSON type or not finite."""
     errors = _unknown_keys("", raw, _KEYS[""])
-    for name, spec in sections.items():
-        errors += _unknown_keys(f"{name}.", spec, _KEYS[name])
+    for name in ("energy", "flow"):
+        errors += _unknown_keys(f"{name}.", sections[name], _KEYS[name])
+    for name in ("mesh", "initial", "forcing"):
+        errors += _kind_key_errors(name, sections[name], name)
     errors += [f"{key}: must be >= 0" for key in ("snapshot_every", "seed")
                if _number_error(key, raw.get(key, 0), True) is None and raw.get(key, 0) < 0]
     checks = [(key, raw[key], True) for key in ("snapshot_every", "seed") if key in raw]
@@ -211,26 +236,28 @@ def _type_errors(raw, sections):
                    if key in spec and not (key == "inner_tol" and spec[key] is None)]
     strings = (("output_dir", raw.get("output_dir", "")),
                ("initial.path", sections["initial"].get("path", "")))
-    errors += [f"{path} must be a string, got {v!r}" for path, v in strings if not isinstance(v, str)]
+    errors += [f"{path} must be a string without NUL characters, got {v!r}"
+               for path, v in strings if not isinstance(v, str) or "\0" in v]
     scheme = sections["flow"].get("semi_implicit_G", True)
     if scheme is not True:
         errors.append("flow.semi_implicit_G: the fully implicit scheme was removed; "
                       f"only true is accepted, got {scheme!r}")
 
     energy = sections["energy"]
-    specs = [(f"energy.{key}", energy[key], _WELL_KEYS)
+    specs = [(f"energy.{key}", energy[key], "well")
              for key in ("bulk_potential", "bdry_potential")]
     pert = energy["perturbation"]
-    if pert is not None:
-        specs.append(("energy.perturbation", pert, _PERTURBATION_KEYS))
-        if isinstance(pert, dict):
-            specs += [(f"energy.perturbation.{side}", pert[side], _PERTURBATION_KEYS)
-                      for side in ("bulk", "boundary") if side in pert]
-    for path, spec, allowed in specs:
+    if isinstance(pert, dict) and ("bulk" in pert or "boundary" in pert):
+        errors += _unknown_keys("energy.perturbation.", pert, {"bulk", "boundary"})
+        specs += [(f"energy.perturbation.{side}", pert[side], "part")
+                  for side in ("bulk", "boundary") if side in pert]
+    elif pert is not None:
+        specs.append(("energy.perturbation", pert, "part"))
+    for path, spec, table in specs:
         if not isinstance(spec, dict):
             errors.append(f"{path}: expected an object")
             continue
-        errors += _unknown_keys(f"{path}.", spec, allowed)
+        errors += _kind_key_errors(path, spec, table)
         checks += [(f"{path}.{key}", spec[key], False) for key in ("lo", "hi", "c") if key in spec]
         if "points" in spec:
             checks += _series(f"{path}.points", spec["points"], errors, pairs=True)
@@ -256,7 +283,7 @@ def config_from_dict(raw):
     kind = mesh.get("kind", "interval")
     if not isinstance(kind, str) or kind not in _MESH_DEFAULTS:
         errors.append(f"mesh.kind: unknown kind {kind!r}")
-        kind = "interval"
+        kind, mesh = "interval", {}  # the given fields belong to no known kind
     mesh = {**_MESH_DEFAULTS[kind], **mesh, "kind": kind}
 
     energy = _merge(_ENERGY_DEFAULTS, raw.get("energy"), "energy", errors)

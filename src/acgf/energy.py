@@ -171,10 +171,11 @@ class EnergyParams:
     perturbation: SmoothPerturbation
 
     def __post_init__(self):
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ConfigError(f"kappa must be finite and positive, got {self.kappa}")
-        if not (math.isfinite(self.eps) and self.eps >= 0.0):
-            raise ConfigError(f"eps must be finite and nonnegative, got {self.eps}")
+        # the energy weighs gradients by kappa**2 and eps**2, which must not overflow
+        if not (math.isfinite(self.kappa * self.kappa) and self.kappa > 0.0):
+            raise ConfigError(f"kappa must be positive with a finite square, got {self.kappa}")
+        if not (math.isfinite(self.eps * self.eps) and self.eps >= 0.0):
+            raise ConfigError(f"eps must be nonnegative with a finite square, got {self.eps}")
         if not (0.0 < self.delta <= 1.0):
             raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
         if not (0.0 < self.lam <= 1.0):

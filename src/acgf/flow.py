@@ -35,17 +35,43 @@ keeping |w + b dw| <= 1 in every cell. Only the matrix changes: the
 objective, the line search and the stopping test are those of J itself,
 and optimality is certified by the gradient norm in the product inner
 product, which does not depend on w.
+
+Importing this module sets scipy's OpenBLAS, which acgf uses for nothing
+but the band factorization and solve, to one thread: LAPACK factors a band
+wider than 64 in blocks, and their small BLAS calls run slower split over
+two threads than on one, while the waiting worker spins and slows the
+assembly that follows.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg.cython_blas
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from . import energy as en
 from .errors import ConfigError, NonconvergenceError, SolverError
 from .meshes import bulk_gradient, h_norm
+
+
+def _scipy_blas_on_one_thread():
+    """Set the OpenBLAS that scipy.linalg links to one thread, once for the process.
+
+    numpy links an OpenBLAS of its own, which keeps its thread count. A scipy
+    built on another BLAS exports neither symbol and is left as it is.
+    """
+    lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+    for name in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+        set_num_threads = getattr(lib, name, None)
+        if set_num_threads is not None:
+            set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+            set_num_threads(1)
+            return
+
+
+_scipy_blas_on_one_thread()
 
 
 def default_inner_tol(mesh):

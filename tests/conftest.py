@@ -5,6 +5,7 @@ import os
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -72,3 +73,29 @@ def coordinate_descent_prox_oracle(mesh, p, tau, uprev, theta=None, grad_tol=1e-
         if max(abs(partial(v, i)) for i in range(n + 1)) <= grad_tol:
             return np.array(v)
     raise AssertionError("oracle did not reach the requested gradient tolerance")
+
+
+def key_paths(node, prefix=()):
+    """Key paths of every value nested in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+def json_values(numbers):
+    """Arbitrary JSON values, config kinds and keys among them, numbers drawn from numbers."""
+    kinds = ["interval", "disc", "indicator", "quadratic", "tabulated", "neg_quadratic", "none",
+             "constant", "two_phase", "file", "random", "zero"]
+    keys = ["kind", "points", "path", "lo", "bulk", "times", "n"]
+    return st.recursive(
+        st.none() | st.booleans() | numbers
+        | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+        | st.text(max_size=3) | st.sampled_from(kinds),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(keys), inner, max_size=3),
+        max_leaves=6,
+    )

@@ -1,16 +1,25 @@
 """End-to-end CLI behavior: exit codes, artifacts, config round-trips."""
 
+import copy
+import dataclasses
 import json
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import acgf.cli
 import acgf.energy
+import acgf.flow
 from acgf.cli import main
 from acgf.config import config_from_dict, load_config
 from acgf.errors import ConfigError
 from acgf.runio import fmt, read_snapshot_values
+from conftest import json_values, key_paths
 
 BASE = {
     "mesh": {"kind": "interval", "L": 1.0, "n": 16},
@@ -96,6 +105,13 @@ class TestRun:
         ({"flow": {**BASE["flow"], "dt": 5}}, "flow.dt: unknown field"),
         ({"flow": {**BASE["flow"], "semi_implicit_G": False}},
          "flow.semi_implicit_G: the fully implicit scheme was removed"),
+        ({"mesh": {"kind": "disc", "n": 999}}, "mesh.n: unknown field (allowed for kind disc"),
+        ({"forcing": {"kind": "zero", "bulk": 3}},
+         "forcing.bulk: unknown field (allowed for kind zero"),
+        ({"energy": {**BASE["energy"], "kappa": 1e300}},
+         "kappa must be positive with a finite square"),
+        ({"initial": {"kind": "random", "amplitude": -1}},
+         "initial.amplitude: -1.0 leaves the empty or unbounded range [1.0, -1.0]"),
     ])
     def test_ill_typed_field_rejected(self, tmp_path, capsys, patch, message):
         cfg = write_cfg(tmp_path, dict(BASE, **patch))
@@ -159,6 +175,12 @@ class TestRun:
         cfg = write_cfg(tmp_path, dict(BASE, initial={"kind": "file", "path": str(snap)}))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"initial.path: cannot read {snap}" in capsys.readouterr().err
+
+    def test_unwritable_output_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "file" / "o")]) == 2
+        assert "cannot write outputs: " in capsys.readouterr().err
 
     def test_indefinite_newton_matrix_exits_1(self, tmp_path, capsys, monkeypatch):
         hessian = acgf.energy.hessian
@@ -328,3 +350,48 @@ def test_config_error_lists_field(tmp_path):
     with pytest.raises(ConfigError) as exc:
         config_from_dict({"flow": {"tau": -1.0, "T": 1.0}})
     assert "tau" in str(exc.value)
+
+
+# a 4 x 8 disc run of two steps with every section and optional field present,
+# so that the fuzz test below can replace each of them
+FUZZ_BASE = {
+    "mesh": {"kind": "disc", "R": 1.0, "nr": 4, "ntheta": 8},
+    "energy": {
+        "kappa": 0.2, "eps": 0.5, "delta": 0.1, "lambda": 0.1,
+        "bulk_potential": {"kind": "tabulated", "points": [[-1, 0.5], [0, 0], [1, 0.5]]},
+        "bdry_potential": {"kind": "indicator", "lo": -1.0, "hi": 1.0},
+        "perturbation": {"kind": "neg_quadratic"},
+    },
+    "flow": {"tau": 0.25, "T": 0.5, "inner_tol": 1e-8, "inner_max_iters": 50},
+    "initial": {"kind": "random", "amplitude": 0.9},
+    "forcing": {"kind": "constant", "bulk": 0.5, "boundary": -0.5},
+    "snapshot_every": 1, "seed": 2, "output_dir": "out",
+}
+
+
+# numbers stay small, but for two huge ones, so that no mesh gets large; the
+# mesh size ceiling has tests of its own
+SMALL_JSON = json_values(st.integers(-64, 64) | st.floats(-64.0, 64.0)
+                         | st.sampled_from([1e300, -1e300]))
+
+
+def _at_most_two_steps(mesh, p, fp, u0, forcing, snapshot_every=0):
+    """run_flow cut to two steps: a longer T or a smaller tau adds run time, not exit paths."""
+    fp = dataclasses.replace(fp, T=min(fp.T, 2.0 * fp.tau))
+    return acgf.flow.run_flow(mesh, p, fp, u0, forcing, snapshot_every=snapshot_every)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(key_paths(FUZZ_BASE))), SMALL_JSON)
+def test_run_exits_0_1_or_2_whatever_one_field_holds(path, value):
+    raw = copy.deepcopy(FUZZ_BASE)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(acgf.cli, "run_flow", _at_most_two_steps):
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        assert main(["run", "--config", cfg, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from acgf.config import RunConfig, config_from_dict
 from acgf.errors import ConfigError
+from conftest import json_values, key_paths
 
 
 def test_defaults_fill_in():
@@ -125,6 +126,30 @@ def test_initial_file_read_once_and_copied(tmp_path, monkeypatch):
      "energy.perturbation.bulk.c: unknown field"),
     ({"flow": {"semi_implicit_G": False}}, "scheme was removed; only true is accepted, got False"),
     ({"flow": {"semi_implicit_G": 1}}, "scheme was removed; only true is accepted, got 1"),
+    ({"mesh": {"kind": "disc", "n": 999}},
+     "mesh.n: unknown field (allowed for kind disc: R, kind, nr, ntheta)"),
+    ({"mesh": {"kind": "interval", "nr": 4}}, "mesh.nr: unknown field (allowed for kind interval"),
+    ({"forcing": {"kind": "zero", "bulk": 3}},
+     "forcing.bulk: unknown field (allowed for kind zero: kind)"),
+    ({"forcing": {"bulk": 3}}, "forcing.bulk: unknown field (allowed for kind zero: kind)"),
+    ({"forcing": {"kind": "constant", "times": [0.0]}}, "forcing.times: unknown field"),
+    ({"initial": {"kind": "two_phase", "value": 0.1}}, "initial.value: unknown field"),
+    ({"initial": {"amplitude": 0.5}},
+     "initial.amplitude: unknown field (allowed for kind constant: kind, value)"),
+    ({"initial": {"kind": "random", "path": "x.csv"}}, "initial.path: unknown field"),
+    ({"energy": {"bulk_potential": {"kind": "quadratic", "lo": -1.0}}},
+     "energy.bulk_potential.lo: unknown field (allowed for kind quadratic: c, kind)"),
+    ({"energy": {"bdry_potential": {"kind": "indicator", "points": [[0, 0], [1, 1]]}}},
+     "energy.bdry_potential.points: unknown field"),
+    ({"energy": {"perturbation": {"kind": "neg_quadratic", "points": [[0, 0], [1, 1]]}}},
+     "energy.perturbation.points: unknown field"),
+    ({"energy": {"perturbation": {"kind": "none", "bulk": {"kind": "neg_quadratic"}}}},
+     "energy.perturbation.kind: unknown field (allowed: boundary, bulk)"),
+    ({"energy": {"perturbation": {"boundary": {"kind": "none", "bulk": {}}}}},
+     "energy.perturbation.boundary.bulk: unknown field"),
+    ({"initial": {"kind": "file", "path": "a\0.csv"}},
+     "initial.path must be a string without NUL characters"),
+    ({"output_dir": "out\0"}, "output_dir must be a string without NUL characters"),
 ])
 def test_ill_typed_field_named(raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -143,38 +168,18 @@ FULL = {
     },
     "flow": {"tau": 0.01, "T": 0.02, "inner_tol": 1e-8, "inner_max_iters": 50,
              "semi_implicit_G": True},
-    "initial": {"kind": "two_phase", "amplitude": 0.9, "value": 0.1},
+    "initial": {"kind": "two_phase", "amplitude": 0.9},
     "forcing": {"kind": "tabulated", "times": [0.0, 0.01], "bulk": [0.1, 0.2],
                 "boundary": [0.0, 0.1]},
     "snapshot_every": 1, "seed": 2, "output_dir": "out",
 }
 
 
-def _paths(node, prefix=()):
-    """Key paths of every value nested in node."""
-    if isinstance(node, dict):
-        items = node.items()
-    else:
-        items = enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield prefix + (key,)
-        yield from _paths(child, prefix + (key,))
-
-
-KINDS = ["interval", "disc", "indicator", "quadratic", "tabulated", "neg_quadratic", "none",
-         "constant", "two_phase", "file", "random", "zero"]
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
-    | st.text(max_size=3) | st.sampled_from(KINDS),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
-        st.sampled_from(["kind", "points", "path", "lo", "bulk", "times"]), inner, max_size=3),
-    max_leaves=6,
-)
+JSON = json_values(st.integers() | st.floats())
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(list(_paths(FULL))), JSON)
+@given(st.sampled_from(list(key_paths(FULL))), JSON)
 def test_any_json_value_yields_config_or_config_error(path, value):
     raw = copy.deepcopy(FULL)
     node = raw

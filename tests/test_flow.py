@@ -1,12 +1,20 @@
 """Time stepping: proximal steps, dissipation, resolvents, stability."""
 
+import ctypes
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg.cython_blas
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import acgf
+from acgf.config import config_from_dict
 from acgf.energy import EnergyParams, ForcingField, SmoothPerturbation, phi_regularized
 from acgf.errors import ConfigError, NonconvergenceError, SolverError
 from acgf.flow import (FlowParams, _dual_step, default_inner_tol, proximal_step, resolvent,
@@ -319,3 +327,64 @@ def test_dual_step_stops_short_of_the_unit_ball_boundary(case):
     if beta < 1.0:  # the closed-form root puts some cell exactly on the boundary
         reach = np.linalg.norm(w + beta / 0.99 * dw, axis=1).max()
         assert reach == pytest.approx(1.0, abs=1e-9)
+
+
+def _openblas_threads(module, symbol):
+    """Thread count reported by the OpenBLAS linked to an extension module, or None."""
+    get = getattr(ctypes.CDLL(module.__file__), symbol, None)
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+def _python(code, *args):
+    """Run code in a fresh interpreter on this acgf with OPENBLAS_NUM_THREADS=2; its stdout."""
+    src = os.path.dirname(os.path.dirname(acgf.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          check=True, timeout=120).stdout
+
+
+# 2048 nodes with bandwidth ntheta + 2 = 66, above the 64 where LAPACK factors blocked
+BLOCKED_BAND_RUN = {
+    "mesh": {"kind": "disc", "R": 1.0, "nr": 32, "ntheta": 64},
+    "energy": {"kappa": 0.2, "eps": 0.5, "perturbation": {"kind": "neg_quadratic"}},
+    "flow": {"tau": 1.0 / 128.0, "T": 4.0 / 128.0},
+    "initial": {"kind": "random"},
+    "seed": 3,
+}
+FINAL_STATE = """
+import json, sys
+from acgf.config import config_from_dict
+from acgf.flow import run_flow
+final = run_flow(*config_from_dict(json.loads(sys.argv[1])).build_all())[0]
+sys.stdout.buffer.write(final.tobytes())
+"""
+
+
+class TestScipyBlasThreads:
+    def test_scipy_openblas_runs_on_one_thread(self):
+        threads = _openblas_threads(scipy.linalg.cython_blas, "scipy_openblas_get_num_threads")
+        if threads is None:
+            pytest.skip("scipy is not linked to scipy-openblas")
+        assert threads == 1
+
+    def test_numpy_openblas_keeps_its_thread_count(self):
+        import numpy.linalg._umath_linalg as numpy_blas
+
+        if _openblas_threads(numpy_blas, "scipy_openblas_get_num_threads64_") is None:
+            pytest.skip("numpy is not linked to scipy-openblas64")
+        code = ("import ctypes, numpy.linalg._umath_linalg as m\n"
+                "get = ctypes.CDLL(m.__file__).scipy_openblas_get_num_threads64_\n"
+                "before = get()\n"
+                "import acgf.flow\n"
+                "print(before, get())")
+        before, after = _python(code).split()
+        assert before == after
+
+    def test_blocked_factorization_is_independent_of_the_thread_setting(self):
+        mesh, p, fp, u0, forcing = config_from_dict(BLOCKED_BAND_RUN).build_all()
+        assert fp.num_steps == 4 and mesh.bandwidth > 64
+        here = run_flow(mesh, p, fp, u0, forcing)[0]
+        assert _python(FINAL_STATE, json.dumps(BLOCKED_BAND_RUN)) == here.tobytes()
