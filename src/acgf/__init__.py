@@ -19,7 +19,6 @@ from .flow import FlowParams, StepRecord, proximal_step, resolvent, run_flow
 from .meshes import (
     DiscMesh,
     IntervalMesh,
-    build_mesh,
     bulk_gradient,
     h_inner,
     h_norm,
@@ -32,7 +31,6 @@ from .potentials import (
     ScalarConvexPotential,
     check_compatibility,
     indicator,
-    potential_from_spec,
     quadratic,
     tabulated,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "SmoothedNorm",
     "SolverError",
     "StepRecord",
-    "build_mesh",
     "bulk_gradient",
     "check_compatibility",
     "energy_terms",
@@ -65,7 +62,6 @@ __all__ = [
     "laplace_beltrami",
     "phi_exact",
     "phi_regularized",
-    "potential_from_spec",
     "proximal_step",
     "quadratic",
     "resolvent",

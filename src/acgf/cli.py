@@ -7,6 +7,7 @@ subcommand takes --config PATH plus optional --out/--seed/--threads
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -16,11 +17,19 @@ from .errors import ConfigError, SolverError
 from .flow import run_flow
 
 
-def _parse_floats(text, flag):
+def _real(tok, flag):
+    """tok as a finite real, or a ConfigError naming the flag."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as e:
-        raise ConfigError(f"{flag}: expected comma-separated reals, got {text!r}") from e
+        value = float(tok)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag}: expected a finite real, got {tok.strip()!r}")
+    return value
+
+
+def _parse_floats(text, flag):
+    values = [_real(tok, flag) for tok in text.split(",") if tok.strip() != ""]
     if not values:
         raise ConfigError(f"{flag}: list must be nonempty")
     return values
@@ -35,7 +44,7 @@ def _parse_pairs(text):
         parts = tok.split(":")
         if len(parts) != 2:
             raise ConfigError(f"--pairs: expected delta:lambda entries, got {tok!r}")
-        pairs.append((float(parts[0]), float(parts[1])))
+        pairs.append((_real(parts[0], "--pairs"), _real(parts[1], "--pairs")))
     if not pairs:
         raise ConfigError("--pairs: list must be nonempty")
     return pairs

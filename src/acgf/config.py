@@ -1,60 +1,94 @@
 """Run configuration: a single JSON document validated before any compute.
 
-All physical quantities are plain nondimensional reals. The resolved
-configuration (defaults filled in, tolerances pinned to numbers) is what
-gets echoed next to a run's outputs, and reparsing that echo yields an
-identical resolved configuration.
+``FORMAT`` is the one description of that document. A section maps each
+field to its default; a spec of several kinds (the mesh, the wells, the
+perturbation parts, the initial state, the forcing) names its default kind
+and maps each kind to its fields and their defaults. A default also says
+how a given value is checked:
+
+* a float: a finite real; None: a finite real or null,
+* an int: a count, a non-negative integer,
+* a str: a string without NUL characters,
+* ``STRING``, ``PAIRS`` or ``NUMBERS``: a field that must be given, as a
+  string, a list of [t, value] pairs or a list of numbers.
+
+One walk over the document reports every unknown kind, unknown field,
+missing required field and ill-typed value by its path, and fills in the
+defaults. All physical quantities are plain nondimensional reals. The
+resolved configuration (every field present, tolerances pinned to numbers)
+is what gets echoed next to a run's outputs, and reparsing that echo
+yields an identical resolved configuration.
 """
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .energy import EnergyParams, ForcingField, SmoothPerturbation
+from .energy import (EnergyParams, ForcingField, NegQuadraticPart, NonePart, SmoothPerturbation,
+                     TabulatedPart)
 from .errors import ConfigError
 from .flow import FlowParams, default_inner_tol
-from .meshes import build_mesh
-from .potentials import potential_from_spec
+from .meshes import DiscMesh, IntervalMesh
+from .potentials import indicator, quadratic, tabulated
 
-_MESH_DEFAULTS = {"interval": {"L": 1.0, "n": 64}, "disc": {"R": 1.0, "nr": 16, "ntheta": 32}}
-_ENERGY_DEFAULTS = {
-    "kappa": 1.0,
-    "eps": 0.0,
-    "delta": 0.1,
-    "lambda": 0.1,
-    "bulk_potential": {"kind": "indicator", "lo": -1.0, "hi": 1.0},
-    "bdry_potential": {"kind": "indicator", "lo": -1.0, "hi": 1.0},
-    "perturbation": {"kind": "none"},
+
+class _Required:
+    """The default of a field that must be given; ``what`` is the value it needs."""
+
+    def __init__(self, what):
+        self.what = what
+
+
+STRING, PAIRS, NUMBERS = _Required("a string"), _Required("[t, value] pairs"), _Required("numbers")
+
+
+class _Kinds(NamedTuple):
+    """A spec of several kinds: the kind it takes without one, and kind -> field -> default."""
+
+    default: str
+    kinds: dict
+
+
+_PART = _Kinds("none", {"none": {}, "neg_quadratic": {}, "tabulated": {"points": PAIRS}})
+_WELL = _Kinds("indicator", {"indicator": {"lo": -1.0, "hi": 1.0}, "quadratic": {"c": 1.0},
+                             "tabulated": {"points": PAIRS}})
+
+FORMAT = {
+    "mesh": _Kinds("interval", {"interval": {"L": 1.0, "n": 64},
+                                "disc": {"R": 1.0, "nr": 16, "ntheta": 32}}),
+    "energy": {"kappa": 1.0, "eps": 0.0, "delta": 0.1, "lambda": 0.1,
+               "bulk_potential": _WELL, "bdry_potential": _WELL, "perturbation": _PART},
+    "flow": {"tau": 0.01, "T": 0.5, "inner_tol": None, "inner_max_iters": 200},
+    "initial": _Kinds("constant", {"constant": {"value": 0.0}, "two_phase": {"amplitude": 0.9},
+                                   "file": {"path": STRING}, "random": {"amplitude": 1.0}}),
+    "forcing": _Kinds("zero", {"zero": {}, "constant": {"bulk": 0.0, "boundary": 0.0},
+                               "tabulated": {"times": NUMBERS, "bulk": NUMBERS,
+                                             "boundary": NUMBERS}}),
+    "output_dir": "out",
+    "snapshot_every": 0,
+    "seed": 0,
 }
-_FLOW_DEFAULTS = {"tau": 0.01, "T": 0.5, "inner_tol": None, "inner_max_iters": 200}
-# numeric fields per section, True where the value must be integral
-_NUMBERS = {
-    "mesh": {"L": False, "n": True, "R": False, "nr": True, "ntheta": True},
-    "energy": {"kappa": False, "eps": False, "delta": False, "lambda": False},
-    "flow": {"tau": False, "T": False, "inner_tol": False, "inner_max_iters": True},
-    "initial": {"value": False, "amplitude": False},
-}
-# allowed keys of the sections without kinds; "semi_implicit_G" is kept so
-# that older echoes still parse, and only its value true is accepted
-_KEYS = {
-    "": {"mesh", "energy", "flow", "initial", "forcing", "output_dir", "snapshot_every", "seed"},
-    "energy": set(_ENERGY_DEFAULTS),
-    "flow": {*_FLOW_DEFAULTS, "semi_implicit_G"},
-}
-# allowed keys besides "kind" of each kind of spec; a perturbation split into
-# sides has the keys "bulk" and "boundary", each a perturbation part
-_KIND_KEYS = {
-    "mesh": {kind: set(fields) for kind, fields in _MESH_DEFAULTS.items()},
-    "initial": {"constant": {"value"}, "two_phase": {"amplitude"}, "file": {"path"},
-                "random": {"amplitude"}},
-    "forcing": {"zero": set(), "constant": {"bulk", "boundary"},
-                "tabulated": {"times", "bulk", "boundary"}},
-    "well": {"indicator": {"lo", "hi"}, "quadratic": {"c"}, "tabulated": {"points"}},
-    "part": {"none": set(), "neg_quadratic": set(), "tabulated": {"points"}},
-}
-_DEFAULT_KIND = {"initial": "constant", "forcing": "zero", "part": "none"}
+
+# kind -> constructor, called with the fields of a resolved spec (and, for a
+# perturbation part, first with the domain of the bulk well)
+_MESHES = {"interval": IntervalMesh, "disc": DiscMesh}
+_WELLS = {"indicator": indicator, "quadratic": quadratic, "tabulated": tabulated}
+_PARTS = {"none": lambda domain: NonePart(),
+          "neg_quadratic": lambda domain: NegQuadraticPart(*domain),
+          "tabulated": lambda domain, points: TabulatedPart(points)}
+
+
+def _build(constructors, spec, *args):
+    return constructors[spec["kind"]](*args, **{k: v for k, v in spec.items() if k != "kind"})
+
+
+def build_mesh(spec):
+    """The mesh of a resolved mesh spec."""
+    return _build(_MESHES, spec)
 
 
 @dataclass
@@ -70,16 +104,7 @@ class RunConfig:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def resolved(self):
-        return {
-            "mesh": self.mesh,
-            "energy": self.energy,
-            "flow": self.flow,
-            "initial": self.initial,
-            "forcing": self.forcing,
-            "output_dir": self.output_dir,
-            "snapshot_every": self.snapshot_every,
-            "seed": self.seed,
-        }
+        return {name: getattr(self, name) for name in FORMAT}
 
     # builders -------------------------------------------------------------
 
@@ -88,13 +113,14 @@ class RunConfig:
 
     def build_energy_params(self):
         e = self.energy
-        bulk = potential_from_spec(e["bulk_potential"])
-        bdry = potential_from_spec(e["bdry_potential"])
-        pert = SmoothPerturbation.from_spec(e.get("perturbation"), (bulk.lo, bulk.hi))
+        bulk, bdry = _build(_WELLS, e["bulk_potential"]), _build(_WELLS, e["bdry_potential"])
+        pert = e["perturbation"]
+        sides = [pert["bulk"], pert["boundary"]] if "bulk" in pert else [pert]
+        parts = [_build(_PARTS, side, (bulk.lo, bulk.hi)) for side in sides]
         return EnergyParams(
             kappa=float(e["kappa"]), eps=float(e["eps"]), delta=float(e["delta"]),
             lam=float(e["lambda"]), bulk_potential=bulk, bdry_potential=bdry,
-            perturbation=pert,
+            perturbation=SmoothPerturbation(*parts),
         )
 
     def build_flow_params(self):
@@ -107,33 +133,29 @@ class RunConfig:
 
     def build_initial(self, mesh, params):
         spec = self.initial
-        kind = spec.get("kind", "constant")
+        kind = spec["kind"]
         lo, hi = params.bulk_potential.lo, params.bulk_potential.hi
         if kind == "constant":
-            u = np.full(mesh.num_nodes, float(spec.get("value", 0.0)))
+            u = np.full(mesh.num_nodes, float(spec["value"]))
         elif kind == "two_phase":
-            a = float(spec.get("amplitude", 0.9))
+            a = float(spec["amplitude"])
             mid = 0.5 * mesh.L if mesh.kind == "interval" else 0.0
             u = np.where(mesh.coords[:, 0] < mid, a, -a)
         elif kind == "file":
             from .runio import read_snapshot_values
 
-            if "path" not in spec:
-                raise ConfigError("initial.path: required for a file initial state")
             # read once per config: sweeps rebuild the initial state per member
             key = ("initial", spec["path"], mesh.num_nodes)
             if key not in self._cache:
                 self._cache[key] = read_snapshot_values(spec["path"], mesh.num_nodes)
             u = self._cache[key].copy()
-        elif kind == "random":
-            amp = float(spec.get("amplitude", 1.0))
+        else:  # random
+            amp = float(spec["amplitude"])
             a, b = max(lo, -amp), min(hi, amp)
             if not (a <= b and math.isfinite(b - a)):
                 raise ConfigError(f"initial.amplitude: {amp} leaves the empty or unbounded "
                                   f"range [{a}, {b}] in the well domain [{lo}, {hi}]")
             u = np.random.default_rng(self.seed).uniform(a, b, size=mesh.num_nodes)
-        else:
-            raise ConfigError(f"initial.kind: unknown kind {kind!r}")
         if np.any(u < lo) or np.any(u > hi):
             raise ConfigError(
                 "initial: values leave the well domain "
@@ -142,18 +164,12 @@ class RunConfig:
         return u
 
     def build_forcing(self, mesh):
-        spec = self.forcing
-        kind = spec.get("kind", "zero")
-        if kind == "zero":
+        f = self.forcing
+        if f["kind"] == "zero":
             return ForcingField.zero()
-        if kind == "constant":
-            return ForcingField.constant(mesh, spec.get("bulk", 0.0), spec.get("boundary", 0.0))
-        if kind == "tabulated":
-            for key in ("times", "bulk", "boundary"):
-                if key not in spec:
-                    raise ConfigError(f"forcing.{key}: required for tabulated forcing")
-            return ForcingField.tabulated(mesh, spec["times"], spec["bulk"], spec["boundary"])
-        raise ConfigError(f"forcing.kind: unknown kind {kind!r}")
+        if f["kind"] == "constant":
+            return ForcingField.constant(mesh, f["bulk"], f["boundary"])
+        return ForcingField.tabulated(mesh, f["times"], f["bulk"], f["boundary"])
 
     def build_all(self):
         """(mesh, energy params, flow params, initial state, forcing), cached mesh."""
@@ -167,110 +183,83 @@ class RunConfig:
         return mesh, p, fp, u0, forcing
 
 
-def _merge(defaults, given, path, errors):
-    out = dict(defaults)
-    if given is None:
-        return out
-    if not isinstance(given, dict):
-        errors.append(f"{path}: expected an object")
-        return out
-    out.update(given)
-    return out
+# the format walk ------------------------------------------------------------
 
-
-def _number_error(path, value, integer=False):
-    """Why value is not a finite JSON number (integral if asked), or None."""
+def _number_error(path, value, count=False):
+    """Why value is not a finite JSON number (a count, if asked), or None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return f"{path} must be a number, got {value!r}"
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # also an integer too large for a float
         return f"{path} must be finite, got {value}"
-    if integer and math.floor(value) != value:
+    if count and math.floor(value) != value:
         return f"{path} must be an integer, got {value}"
+    if count and value < 0:
+        return f"{path}: must be >= 0, got {value}"
     return None
 
 
-def _series(path, value, errors, pairs=False):
-    """Number checks for a list of numbers, or of [t, value] pairs if ``pairs``."""
-    rows = value if isinstance(value, list) else None
-    if pairs and rows is not None and not all(isinstance(r, list) and len(r) == 2 for r in rows):
-        rows = None
-    if rows is None:
-        errors.append(f"{path} must be a list of {'[t, value] pairs' if pairs else 'numbers'}")
+def _value_errors(path, value, default):
+    """Errors of a given value of the field with that default."""
+    if isinstance(default, str) or default is STRING:
+        if isinstance(value, str) and "\0" not in value:
+            return []
+        return [f"{path} must be a string without NUL characters, got {value!r}"]
+    if isinstance(default, _Required):  # a list of numbers or of [t, value] pairs
+        pairs = default is PAIRS
+        rows = value if isinstance(value, list) else None
+        if pairs and rows is not None and not all(isinstance(r, list) and len(r) == 2
+                                                  for r in rows):
+            rows = None
+        if rows is None:
+            return [f"{path} must be a list of {default.what}"]
+        items = ([(f"{path}[{i}][{j}]", x) for i, r in enumerate(rows) for j, x in enumerate(r)]
+                 if pairs else [(f"{path}[{i}]", x) for i, x in enumerate(rows)])
+        return [e for e in (_number_error(p, x) for p, x in items) if e]
+    if default is None and value is None:
         return []
-    if pairs:
-        return [(f"{path}[{i}][{j}]", x, False) for i, r in enumerate(rows) for j, x in enumerate(r)]
-    return [(f"{path}[{i}]", x, False) for i, x in enumerate(rows)]
+    error = _number_error(path, value, count=isinstance(default, int))
+    return [error] if error else []
 
 
-def _unknown_keys(path, spec, allowed, kind=None):
+def _resolve(path, value, default, errors):
+    """value checked against the field with that default, defaults filled in."""
+    # a perturbation with either key gives each side a part of its own
+    if path == "energy.perturbation" and isinstance(value, dict) and (
+            "bulk" in value or "boundary" in value):
+        default = {"bulk": _PART, "boundary": _PART}
+    if not isinstance(default, (dict, _Kinds)):
+        errors += _value_errors(path, value, default)
+        return value
+    if not isinstance(value, dict):
+        errors.append(f"{path}: expected an object")
+        return None
+    if isinstance(default, dict):
+        return _fields(path, value, default, errors)
+    kind = value.get("kind", default.default)
+    if not (isinstance(kind, str) and kind in default.kinds):
+        errors.append(f"{path}.kind: unknown kind {kind!r} (kinds: {', '.join(default.kinds)})")
+        return None
+    return {"kind": kind, **_fields(path, value, default.kinds[kind], errors, kind)}
+
+
+def _fields(path, given, fields, errors, kind=None):
+    """The fields of a section, or of a spec of the given kind, defaults filled in."""
+    prefix = f"{path}." if path else ""
+    allowed = set(fields) if kind is None else {"kind", *fields}
     which = "allowed" if kind is None else f"allowed for kind {kind}"
-    return [f"{path}{key}: unknown field ({which}: {', '.join(sorted(allowed))})"
-            for key in spec if key not in allowed]
-
-
-def _kind_key_errors(path, spec, table):
-    """Errors naming the keys of spec that its kind does not have.
-
-    A spec of an unknown kind gets none here: its builder reports the kind.
-    """
-    kind = spec.get("kind", _DEFAULT_KIND.get(table))
-    kinds = _KIND_KEYS[table]
-    if not (isinstance(kind, str) and kind in kinds):
-        return []
-    return _unknown_keys(f"{path}.", spec, {"kind", *kinds[kind]}, kind)
-
-
-def _type_errors(raw, sections):
-    """Errors naming every unknown field and every value of the wrong JSON type or not finite."""
-    errors = _unknown_keys("", raw, _KEYS[""])
-    for name in ("energy", "flow"):
-        errors += _unknown_keys(f"{name}.", sections[name], _KEYS[name])
-    for name in ("mesh", "initial", "forcing"):
-        errors += _kind_key_errors(name, sections[name], name)
-    errors += [f"{key}: must be >= 0" for key in ("snapshot_every", "seed")
-               if _number_error(key, raw.get(key, 0), True) is None and raw.get(key, 0) < 0]
-    checks = [(key, raw[key], True) for key in ("snapshot_every", "seed") if key in raw]
-    for name, fields in _NUMBERS.items():
-        spec = sections[name]
-        checks += [(f"{name}.{key}", spec[key], integer) for key, integer in fields.items()
-                   if key in spec and not (key == "inner_tol" and spec[key] is None)]
-    strings = (("output_dir", raw.get("output_dir", "")),
-               ("initial.path", sections["initial"].get("path", "")))
-    errors += [f"{path} must be a string without NUL characters, got {v!r}"
-               for path, v in strings if not isinstance(v, str) or "\0" in v]
-    scheme = sections["flow"].get("semi_implicit_G", True)
-    if scheme is not True:
-        errors.append("flow.semi_implicit_G: the fully implicit scheme was removed; "
-                      f"only true is accepted, got {scheme!r}")
-
-    energy = sections["energy"]
-    specs = [(f"energy.{key}", energy[key], "well")
-             for key in ("bulk_potential", "bdry_potential")]
-    pert = energy["perturbation"]
-    if isinstance(pert, dict) and ("bulk" in pert or "boundary" in pert):
-        errors += _unknown_keys("energy.perturbation.", pert, {"bulk", "boundary"})
-        specs += [(f"energy.perturbation.{side}", pert[side], "part")
-                  for side in ("bulk", "boundary") if side in pert]
-    elif pert is not None:
-        specs.append(("energy.perturbation", pert, "part"))
-    for path, spec, table in specs:
-        if not isinstance(spec, dict):
-            errors.append(f"{path}: expected an object")
-            continue
-        errors += _kind_key_errors(path, spec, table)
-        checks += [(f"{path}.{key}", spec[key], False) for key in ("lo", "hi", "c") if key in spec]
-        if "points" in spec:
-            checks += _series(f"{path}.points", spec["points"], errors, pairs=True)
-
-    forcing = sections["forcing"]
-    if forcing.get("kind") == "tabulated":
-        for key in ("times", "bulk", "boundary"):
-            if key in forcing:
-                checks += _series(f"forcing.{key}", forcing[key], errors)
-    else:
-        checks += [(f"forcing.{key}", forcing[key], False)
-                   for key in ("bulk", "boundary") if key in forcing]
-    return errors + [e for e in (_number_error(*c) for c in checks) if e]
+    errors += [f"{prefix}{key}: unknown field ({which}: {', '.join(sorted(allowed))})"
+               for key in given if key not in allowed]
+    out = {}
+    for key, default in fields.items():
+        if key in given:
+            out[key] = _resolve(prefix + key, given[key], default, errors)
+        elif isinstance(default, _Required):
+            errors.append(f"{prefix}{key}: required for kind {kind}")
+        elif isinstance(default, (dict, _Kinds)):
+            out[key] = _resolve(prefix + key, {}, default, errors)
+        else:
+            out[key] = default
+    return out
 
 
 def config_from_dict(raw):
@@ -278,32 +267,20 @@ def config_from_dict(raw):
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
     errors = []
+    flow = raw.get("flow")
+    if isinstance(flow, dict) and "semi_implicit_G" in flow:
+        # echoes written before the fully implicit scheme was removed carry
+        # the switch; its value true is a no-op
+        if flow["semi_implicit_G"] is not True:
+            errors.append("flow.semi_implicit_G: the fully implicit scheme was removed; "
+                          f"only true is accepted, got {flow['semi_implicit_G']!r}")
+        raw = {**raw, "flow": {k: v for k, v in flow.items() if k != "semi_implicit_G"}}
+    resolved = _fields("", raw, FORMAT, errors)
+    if errors:
+        raise ConfigError("; ".join(errors))
 
-    mesh = _merge({}, raw.get("mesh"), "mesh", errors)
-    kind = mesh.get("kind", "interval")
-    if not isinstance(kind, str) or kind not in _MESH_DEFAULTS:
-        errors.append(f"mesh.kind: unknown kind {kind!r}")
-        kind, mesh = "interval", {}  # the given fields belong to no known kind
-    mesh = {**_MESH_DEFAULTS[kind], **mesh, "kind": kind}
-
-    energy = _merge(_ENERGY_DEFAULTS, raw.get("energy"), "energy", errors)
-    flow = _merge(_FLOW_DEFAULTS, raw.get("flow"), "flow", errors)
-    initial = (_merge({}, raw.get("initial"), "initial", errors)
-               or {"kind": "constant", "value": 0.0})
-    forcing = _merge({}, raw.get("forcing"), "forcing", errors) or {"kind": "zero"}
-    # values of the wrong type would fail the checks below with a bare exception
-    type_errors = _type_errors(raw, {"mesh": mesh, "energy": energy, "flow": flow,
-                                     "initial": initial, "forcing": forcing})
-    if type_errors:
-        raise ConfigError("; ".join(errors + type_errors))
-    flow.pop("semi_implicit_G", None)  # true, a no-op since there is one scheme
-
-    cfg = RunConfig(
-        mesh=mesh, energy=energy, flow=flow, initial=initial, forcing=forcing,
-        output_dir=str(raw.get("output_dir", "out")),
-        snapshot_every=int(raw.get("snapshot_every", 0)),
-        seed=int(raw.get("seed", 0)),
-    )
+    cfg = RunConfig(**{**resolved, "snapshot_every": int(resolved["snapshot_every"]),
+                       "seed": int(resolved["seed"])})
 
     # structural checks that do not need the mesh built
     try:
@@ -324,8 +301,8 @@ def config_from_dict(raw):
     try:
         mesh_obj = cfg.build_mesh()
         cfg._cache["mesh"] = mesh_obj
-        if flow["inner_tol"] is None:
-            flow["inner_tol"] = default_inner_tol(mesh_obj)
+        if cfg.flow["inner_tol"] is None:
+            cfg.flow["inner_tol"] = default_inner_tol(mesh_obj)
         if params is not None:
             cfg.build_initial(mesh_obj, params)
         cfg.build_forcing(mesh_obj)
@@ -343,6 +320,6 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read configuration {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or an integer of more digits than Python parses
         raise ConfigError(f"configuration {path} is not valid JSON: {e}") from e
     return config_from_dict(raw)

@@ -48,7 +48,7 @@ class _PerturbationPart:
         raise NotImplementedError
 
 
-class _NonePart(_PerturbationPart):
+class NonePart(_PerturbationPart):
     kind = "none"
 
     def g(self, r):
@@ -57,7 +57,7 @@ class _NonePart(_PerturbationPart):
     G = g
 
 
-class _NegQuadraticPart(_PerturbationPart):
+class NegQuadraticPart(_PerturbationPart):
     """G(s) = -s^2/2 on the well domain, extended C^1 with clamped slope."""
 
     kind = "neg_quadratic"
@@ -75,7 +75,7 @@ class _NegQuadraticPart(_PerturbationPart):
         return -0.5 * p * p - p * (r - p)
 
 
-class _TabulatedPart(_PerturbationPart):
+class TabulatedPart(_PerturbationPart):
     """Piecewise-linear derivative g through (t, g(t)) samples, flat outside."""
 
     kind = "tabulated"
@@ -116,19 +116,6 @@ class _TabulatedPart(_PerturbationPart):
         return self._antideriv(np.asarray(r, dtype=float)) - self.A0
 
 
-def _part_from_spec(spec, domain):
-    kind = spec.get("kind", "none")
-    if kind == "none":
-        return _NonePart()
-    if kind == "neg_quadratic":
-        return _NegQuadraticPart(*domain)
-    if kind == "tabulated":
-        if "points" not in spec:
-            raise ConfigError("tabulated perturbation spec needs 'points'")
-        return _TabulatedPart(spec["points"])
-    raise ConfigError(f"unknown perturbation kind {kind!r}")
-
-
 class SmoothPerturbation:
     """Bulk and boundary perturbation pair with a recorded Lipschitz constant."""
 
@@ -139,22 +126,11 @@ class SmoothPerturbation:
 
     @staticmethod
     def none():
-        return SmoothPerturbation(_NonePart())
+        return SmoothPerturbation(NonePart())
 
     @staticmethod
     def neg_quadratic(lo=-1.0, hi=1.0):
-        return SmoothPerturbation(_NegQuadraticPart(lo, hi))
-
-    @staticmethod
-    def from_spec(spec, domain):
-        """Build from config; one spec applies to both sides unless split."""
-        if spec is None:
-            return SmoothPerturbation.none()
-        if "bulk" in spec or "boundary" in spec:
-            b = _part_from_spec(spec.get("bulk", {"kind": "none"}), domain)
-            g = _part_from_spec(spec.get("boundary", {"kind": "none"}), domain)
-            return SmoothPerturbation(b, g)
-        return SmoothPerturbation(_part_from_spec(spec, domain))
+        return SmoothPerturbation(NegQuadraticPart(lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -241,13 +241,19 @@ def continuous_dependence_probe(cfg, magnitudes, threads=1, perturb="both"):
         u0p = np.clip(u0 + mag * xi_u, lo, hi)
         du0 = u0p - u0
         f = forcing if xi_th is None else forcing.with_offset(mag * xi_th)
+        try:
+            den = h_norm(mesh, du0) ** 2
+            if xi_th is not None:
+                den += steps * fp.tau * (mag ** 2) * h_norm(mesh, xi_th) ** 2
+        except OverflowError:
+            den = math.inf
+        if not 0.0 < den < math.inf:
+            raise ConfigError(f"magnitudes: {mag} gives the data perturbation a squared norm "
+                              f"of {den}, outside (0, inf)")
         _, trace, snaps = run_flow(mesh, p, fp, u0p, f, snapshot_every=1)
         states = [s for _, s in snaps]
         num = _sup_h_dist(mesh, states, base_states) ** 2
         num += _integrated(mesh, states, base_states, fp.tau, v0_distance_sq) ** 2
-        den = h_norm(mesh, du0) ** 2
-        if xi_th is not None:
-            den += steps * fp.tau * (mag ** 2) * h_norm(mesh, xi_th) ** 2
         return num / den, trace
 
     outs = _map_ordered(one, magnitudes, threads)

@@ -74,6 +74,9 @@ def _scipy_blas_on_one_thread():
 _scipy_blas_on_one_thread()
 
 
+MAX_STEPS = 2**20  # the most time steps T / tau may ask for
+
+
 def default_inner_tol(mesh):
     """Gradient-norm stopping tolerance scaled with the DOF count."""
     return 1e-9 * math.sqrt(mesh.num_nodes)
@@ -95,6 +98,9 @@ class FlowParams:
             raise ConfigError(f"inner_tol must be finite and positive, got {self.inner_tol}")
         if self.inner_max_iters < 1:
             raise ConfigError("inner_max_iters must be >= 1")
+        if not self.T / self.tau <= MAX_STEPS:  # an infinite ratio included
+            raise ConfigError(f"T / tau = {self.T / self.tau:g} asks for more than the "
+                              f"{MAX_STEPS} time steps allowed")
 
     @property
     def num_steps(self):

@@ -181,18 +181,6 @@ def _affine_fit_ops(coords, cell_nodes):
     return np.einsum("nde,nke->ndk", Minv, D)
 
 
-def build_mesh(spec):
-    """Construct a mesh from its configuration dict."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"mesh spec must be a dict with 'kind': {spec!r}")
-    kind = spec["kind"]
-    if kind == "interval":
-        return IntervalMesh(spec.get("L", 1.0), spec.get("n", 64))
-    if kind == "disc":
-        return DiscMesh(spec.get("R", 1.0), spec.get("nr", 16), spec.get("ntheta", 32))
-    raise ConfigError(f"unknown mesh kind {kind!r}")
-
-
 def _check_field(mesh, u):
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_nodes,):

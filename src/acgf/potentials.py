@@ -284,22 +284,6 @@ def tabulated(points):
     return _Tabulated(points)
 
 
-def potential_from_spec(spec):
-    """Build a potential from its configuration dict."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"potential spec must be a dict with 'kind': {spec!r}")
-    kind = spec["kind"]
-    if kind == "indicator":
-        return indicator(spec.get("lo", -1.0), spec.get("hi", 1.0))
-    if kind == "quadratic":
-        return quadratic(spec.get("c", 1.0))
-    if kind == "tabulated":
-        if "points" not in spec:
-            raise ConfigError("tabulated potential spec needs 'points'")
-        return tabulated(spec["points"])
-    raise ConfigError(f"unknown potential kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class CompatibilityConstants:
     """Constants of the two-sided slope comparison between bulk and boundary wells."""

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import acgf.cli
 import acgf.energy
+import acgf.experiments
 import acgf.flow
 from acgf.cli import main
 from acgf.config import config_from_dict, load_config
@@ -119,6 +120,15 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flow,ratio", [({"tau": 0.05, "T": 1e300}, "2e+301"),
+                                            ({"tau": 1e-10, "T": 1e300}, "inf")])
+    def test_step_count_above_the_ceiling_rejected(self, tmp_path, capsys, flow, ratio):
+        cfg = write_cfg(tmp_path, dict(BASE, flow=flow))
+        with mock.patch.object(acgf.cli, "run_flow", _at_most_two_steps):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"flow: T / tau = {ratio} asks for more than" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_override_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(BASE, initial={"kind": "random"}))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
@@ -137,6 +147,12 @@ class TestRun:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
+
+    def test_integer_too_long_to_parse(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"seed": 1' + "0" * 5000 + "}")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_snapshot_round_trips_as_initial_condition(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
@@ -221,6 +237,22 @@ class TestConfigEcho:
         cfg = load_config(write_cfg(tmp_path, BASE))
         assert cfg.flow["inner_tol"] == pytest.approx(1e-9 * np.sqrt(17))
 
+    def test_echo_lists_every_field(self, tmp_path):
+        wells = {"kind": "quadratic"}
+        raw = dict(BASE, energy={"kappa": 0.2, "bulk_potential": wells, "bdry_potential": wells,
+                                 "perturbation": {"bulk": {"kind": "neg_quadratic"}}},
+                   initial={"kind": "random"}, forcing={"kind": "constant", "bulk": 0.5})
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
+        echo = json.loads((out / "config_echo.json").read_text())
+        assert echo["energy"]["bulk_potential"] == echo["energy"]["bdry_potential"] \
+            == {"kind": "quadratic", "c": 1.0}
+        assert echo["energy"]["perturbation"] == {"bulk": {"kind": "neg_quadratic"},
+                                                  "boundary": {"kind": "none"}}
+        assert echo["initial"] == {"kind": "random", "amplitude": 1.0}
+        assert echo["forcing"] == {"kind": "constant", "bulk": 0.5, "boundary": 0.0}
+        assert config_from_dict(echo).resolved() == echo
+
     def test_seed_and_out_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(BASE, seed=1))
         out = str(tmp_path / "elsewhere")
@@ -267,6 +299,21 @@ class TestSweepCommands:
     def test_sweep_reg_bad_pairs_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         assert main(["sweep-reg", "--config", cfg, "--pairs", "0.5"]) == 2
+
+    @pytest.mark.parametrize("command,args,message", [
+        ("sweep-reg", ["--pairs", "a:b"], "--pairs: expected a finite real, got 'a'"),
+        ("sweep-reg", ["--pairs", "0.5:0.5,0.25:inf"], "--pairs: expected a finite real, got 'inf'"),
+        ("sweep-dep", ["--magnitudes", "inf"], "--magnitudes: expected a finite real, got 'inf'"),
+        ("sweep-dep", ["--magnitudes", "nan"], "--magnitudes: expected a finite real, got 'nan'"),
+        ("sweep-eps", ["--eps-list", "0.5,nan", "--eps0", "0.0"],
+         "--eps-list: expected a finite real, got 'nan'"),
+        ("probe-mosco", ["--deltas", "0.5,-inf"], "--deltas: expected a finite real, got '-inf'"),
+    ])
+    def test_malformed_number_flag_rejected(self, tmp_path, capsys, command, args, message):
+        cfg = write_cfg(tmp_path, DISC)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")] + args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_dep(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
@@ -395,3 +442,26 @@ def test_run_exits_0_1_or_2_whatever_one_field_holds(path, value):
         with open(cfg, "w", encoding="utf-8") as fh:
             json.dump(raw, fh)
         assert main(["run", "--config", cfg, "--out", os.path.join(tmp, "out")]) in (0, 1, 2)
+
+
+# text for the number flags of the sweep commands: numbers, near-numbers and junk
+NUMBER_TEXT = (st.floats().map(str) | st.integers(-3, 3).map(str)
+               | st.text(alphabet="0123456789.:-+einfa_ ", max_size=6))
+FLAG_TEXT = (st.lists(NUMBER_TEXT | st.tuples(NUMBER_TEXT, NUMBER_TEXT).map(":".join),
+                      max_size=4).map(",".join)
+             | st.text(max_size=8))
+SWEEPS = [("sweep-eps", "--eps-list", ["--eps0", "0.0"]), ("sweep-reg", "--pairs", []),
+          ("sweep-dep", "--magnitudes", []), ("probe-mosco", "--deltas", [])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SWEEPS), FLAG_TEXT)
+def test_sweeps_exit_0_1_or_2_whatever_the_flag_holds(sweep, text):
+    command, flag, rest = sweep
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(acgf.experiments, "run_flow", _at_most_two_steps):
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(FUZZ_BASE, fh)
+        args = [command, "--config", cfg, "--out", os.path.join(tmp, "out"), flag, text]
+        assert main(args + rest) in (0, 1, 2)

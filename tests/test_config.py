@@ -67,6 +67,15 @@ def test_unknown_kinds_rejected_with_field_names():
         config_from_dict({"forcing": {"kind": "noise"}})
 
 
+def test_step_count_bound():
+    from acgf.flow import MAX_STEPS
+
+    assert config_from_dict({"flow": {"tau": 1.0, "T": MAX_STEPS}}).build_flow_params().num_steps \
+        == MAX_STEPS
+    with pytest.raises(ConfigError, match="flow: T / tau"):
+        config_from_dict({"flow": {"tau": 1.0, "T": MAX_STEPS * (1 + 1e-15)}})
+
+
 def test_multiple_errors_reported_together():
     with pytest.raises(ConfigError) as exc:
         config_from_dict({
@@ -150,6 +159,21 @@ def test_initial_file_read_once_and_copied(tmp_path, monkeypatch):
     ({"initial": {"kind": "file", "path": "a\0.csv"}},
      "initial.path must be a string without NUL characters"),
     ({"output_dir": "out\0"}, "output_dir must be a string without NUL characters"),
+    ({"energy": {"bulk_potential": {"kind": "mystery"}}},
+     "energy.bulk_potential.kind: unknown kind 'mystery'"),
+    ({"energy": {"bulk_potential": {"kind": 3}}}, "energy.bulk_potential.kind: unknown kind 3"),
+    ({"energy": {"perturbation": {"kind": "cubic"}}},
+     "energy.perturbation.kind: unknown kind 'cubic'"),
+    ({"energy": {"bdry_potential": {"kind": "tabulated"}}},
+     "energy.bdry_potential.points: required"),
+    ({"energy": {"perturbation": {"bulk": {"kind": "tabulated"}}}},
+     "energy.perturbation.bulk.points: required"),
+    ({"forcing": {"kind": "tabulated", "times": [0.0], "bulk": [1.0]}},
+     "forcing.boundary: required"),
+    ({"mesh": {"kind": "disc", "nr": -4}}, "mesh.nr: must be >= 0"),
+    ({"energy": {"kappa": 10**400}}, "energy.kappa must be finite"),
+    ({"flow": {"T": 1e300}}, "flow: T / tau = 1e+302 asks for more than the 1048576 time steps"),
+    ({"flow": {"tau": 1e-10, "T": 1e300}}, "flow: T / tau = inf asks for more than the 1048576"),
 ])
 def test_ill_typed_field_named(raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

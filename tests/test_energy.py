@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from acgf.config import config_from_dict
 from acgf.energy import (
     EnergyParams,
     ForcingField,
@@ -269,10 +270,13 @@ class TestPerturbation:
         assert pert.bulk.G(2.0) == pytest.approx(-0.5 - 1.0)
         assert pert.lipschitz == 1.0
 
+    @staticmethod
+    def from_config(spec):
+        return config_from_dict({"energy": {"perturbation": spec}}).build_energy_params().perturbation
+
     def test_tabulated_part_derivative_consistency(self):
-        pert = SmoothPerturbation.from_spec(
-            {"kind": "tabulated", "points": [[-1.0, 1.0], [0.0, 0.0], [1.0, -2.0]]},
-            (-1.0, 1.0))
+        pert = self.from_config(
+            {"kind": "tabulated", "points": [[-1.0, 1.0], [0.0, 0.0], [1.0, -2.0]]})
         part = pert.bulk
         assert part.G(0.0) == 0.0
         h = 1e-6
@@ -282,11 +286,10 @@ class TestPerturbation:
         assert part.lipschitz == pytest.approx(2.0)
 
     def test_split_bulk_boundary_spec(self):
-        pert = SmoothPerturbation.from_spec(
-            {"bulk": {"kind": "neg_quadratic"}, "boundary": {"kind": "none"}},
-            (-1.0, 1.0))
+        pert = self.from_config({"bulk": {"kind": "neg_quadratic"}, "boundary": {"kind": "none"}})
         assert pert.bulk.g(0.5) == -0.5
         assert pert.bdry.g(0.5) == 0.0
+        assert self.from_config({"boundary": {"kind": "neg_quadratic"}}).bulk.g(0.5) == 0.0
 
     def test_gcal_riesz_representative(self):
         mesh = IntervalMesh(1.0, 6)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acgf.config import build_mesh, config_from_dict
 from acgf.errors import ConfigError
 from acgf.meshes import (
     MAX_BAND_ENTRIES,
     DiscMesh,
     IntervalMesh,
-    build_mesh,
     bulk_gradient,
     h_inner,
     h_norm,
@@ -174,9 +174,11 @@ def test_build_mesh_specs():
     d = build_mesh({"kind": "disc", "R": 1.0, "nr": 4, "ntheta": 8})
     assert isinstance(d, DiscMesh) and d.num_nodes == 32
     with pytest.raises(ConfigError):
-        build_mesh({"kind": "torus"})
-    with pytest.raises(ConfigError):
         build_mesh({"kind": "disc", "R": -1.0, "nr": 4, "ntheta": 8})
+    # kinds and defaults come from the configuration format
+    with pytest.raises(ConfigError, match="mesh.kind: unknown kind 'torus'"):
+        config_from_dict({"mesh": {"kind": "torus"}})
+    assert config_from_dict({"mesh": {"kind": "disc"}}).build_mesh().num_nodes == 16 * 32
 
 
 class TestBand:
@@ -208,7 +210,7 @@ class TestBand:
     ])
     def test_band_above_the_ceiling_rejected(self, spec, fields):
         with pytest.raises(ConfigError, match=fields):
-            build_mesh(spec)
+            config_from_dict({"mesh": spec})
 
     def test_largest_documented_disc_fits(self):
         m = DiscMesh(1.0, 128, 256)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acgf.config import config_from_dict
 from acgf.errors import ConfigError
 from acgf.potentials import (
     CompatibilityConstants,
     check_compatibility,
     indicator,
-    potential_from_spec,
     quadratic,
     tabulated,
 )
@@ -290,12 +290,16 @@ class TestValidation:
             tabulated([[-1.0, 1.0], [1.0, 1.0]])
 
     def test_spec_factory(self):
-        p = potential_from_spec({"kind": "indicator", "lo": -1.0, "hi": 1.0})
+        def well(spec):
+            raw = {"energy": {"bulk_potential": spec, "bdry_potential": spec}}
+            return config_from_dict(raw).build_energy_params().bulk_potential
+
+        p = well({"kind": "indicator", "lo": -1.0, "hi": 1.0})
         assert p.kind == "indicator" and p.lo == -1.0
-        q = potential_from_spec({"kind": "quadratic", "c": 2.0})
-        assert q.kind == "quadratic"
-        with pytest.raises(ConfigError):
-            potential_from_spec({"kind": "mystery"})
+        q = well({"kind": "quadratic", "c": 2.0})
+        assert q.kind == "quadratic" and q.c == 2.0
+        with pytest.raises(ConfigError, match="energy.bulk_potential.kind: unknown kind 'mystery'"):
+            well({"kind": "mystery"})
 
 
 def test_minimal_section_conventions():
