@@ -50,6 +50,15 @@ def _parse_pairs(text):
     return pairs
 
 
+def _check_members(params, flag, members):
+    """Build each sweep member's energy parameters before any solve; a bad one names ``flag``."""
+    for overrides in members:
+        try:
+            params.replace(**overrides)
+        except ConfigError as e:
+            raise ConfigError(f"{flag}: {e}") from None
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="acgf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -127,10 +136,15 @@ def main(argv=None):
 
         if args.command == "sweep-eps":
             eps_list = _parse_floats(args.eps_list, "--eps-list")
+            p = cfg.build_energy_params()
+            _check_members(p, "--eps0", [{"eps": args.eps0}])
+            _check_members(p, "--eps-list", [{"eps": e} for e in eps_list])
             report = experiments.sweep_epsilon(cfg, eps_list, args.eps0, threads=threads)
         elif args.command == "sweep-reg":
-            report = experiments.sweep_regularization(cfg, _parse_pairs(args.pairs),
-                                                      threads=threads)
+            pairs = _parse_pairs(args.pairs)
+            _check_members(cfg.build_energy_params(), "--pairs",
+                           [{"delta": d, "lam": lam} for d, lam in pairs])
+            report = experiments.sweep_regularization(cfg, pairs, threads=threads)
         elif args.command == "sweep-dep":
             mags = _parse_floats(args.magnitudes, "--magnitudes")
             report = experiments.continuous_dependence_probe(cfg, mags, threads=threads)
@@ -140,6 +154,7 @@ def main(argv=None):
             else:
                 deltas = [2.0 ** (-k) for k in range(1, 13)]
             p = cfg.build_energy_params()
+            _check_members(p, "--deltas", [{"delta": d} for d in deltas])
             mesh_dim = 2 if cfg.mesh["kind"] == "disc" else 1
             probe = experiments.mosco_probe(deltas, potential=p.bulk_potential,
                                             dim=mesh_dim)

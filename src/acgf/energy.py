@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 
 from .errors import ConfigError
-from .meshes import bulk_gradient, h_norm, surface_gradient
+from .meshes import PACKED, bulk_gradient, h_norm, surface_gradient
 from .norms import SmoothedNorm
 from .potentials import ScalarConvexPotential
 
@@ -292,14 +292,14 @@ def _grad_partial(mesh, p, u):
     g = bulk_gradient(mesh, u)
     f = p.norm(mesh)
     flux = (f.grad(g) + p.kappa**2 * g) * mesh.cell_weights[:, None]
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.cell_nodes, np.einsum("ndk,nd->nk", mesh.cell_ops, flux))
+    n = mesh.num_nodes
+    out = np.bincount(mesh.cell_nodes.ravel(),
+                      np.einsum("ndk,nd->nk", mesh.cell_ops, flux).ravel(), n)
     out += np.asarray(p.bulk_potential.yosida(p.lam, u)) * mesh.w_bulk
     if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
         sg = surface_gradient(mesh, u)
         c = p.eps**2 * sg * mesh.seg_weights / mesh.seg_len
-        np.add.at(out, mesh.seg_nodes[:, 1], c)
-        np.add.at(out, mesh.seg_nodes[:, 0], -c)
+        out += np.bincount(mesh.seg_nodes[:, 1], c, n) - np.bincount(mesh.seg_nodes[:, 0], c, n)
     bn = mesh.boundary_nodes
     out[bn] += np.asarray(p.bdry_potential.yosida(p.lam, u[bn])) * mesh.w_bdry
     return out
@@ -315,25 +315,36 @@ def hessian(mesh, p, u, shift, dual=None):
 
     Rows and columns follow ``mesh.band_order``, and entry (i, j) with
     0 <= i - j <= ``mesh.bandwidth`` sits at ``[i - j, j]`` (LAPACK lower band
-    storage). ``shift`` is a scalar or a nodal vector. ``dual`` is an
-    optional per-cell flux that replaces grad u / s in the total-variation
-    blocks (see ``SmoothedNorm.hess``); None gives the exact Hessian. One
-    scatter-add into the mesh's cached slots stores each symmetric pair once.
+    storage) of a Fortran-ordered array, so LAPACK factors it in place.
+    ``shift`` is a scalar or a nodal vector. ``dual`` is an optional per-cell
+    flux w that replaces grad u / s in the total-variation blocks; None gives
+    the exact Hessian. Each cell's block is cell_weight * ops^T A ops with
+
+        A = (I - (w grad u^T + grad u w^T) / (2 s)) / s + kappa^2 I,
+
+    s = sqrt(|grad u|^2 + delta^2) (``SmoothedNorm.hess`` plus kappa^2 I). Its
+    packed upper-triangle coefficients weight ``mesh.cell_products``, and one
+    scatter-add into ``mesh.band_slots`` stores each symmetric pair once.
     """
     u = np.asarray(u, dtype=float)
     g = bulk_gradient(mesh, u)
-    f = p.norm(mesh)
-    a = (f.hess(g, dual) + p.kappa**2 * np.eye(mesh.dim)) * mesh.cell_weights[:, None, None]
-    ops = mesh.cell_ops
-    blocks = ops.transpose(0, 2, 1) @ a @ ops
+    s2 = np.einsum("nd,nd->n", g, g) + p.delta**2
+    s = np.sqrt(s2)
+    gt = g.T
+    wt = gt / s if dual is None else np.asarray(dual, dtype=float).T
+    a, b = PACKED[mesh.dim]
+    coef = (wt[a] * gt[b] + wt[b] * gt[a]) * (-0.5 / s2)  # (coefficient, cell)
+    coef += (a == b)[:, None] * (1.0 / s + p.kappa**2)
     diag = np.asarray(p.bulk_potential.yosida_derivative(p.lam, u)) * mesh.w_bulk
     bn = mesh.boundary_nodes
     diag[bn] += np.asarray(p.bdry_potential.yosida_derivative(p.lam, u[bn])) * mesh.w_bdry
-    seg = np.zeros((mesh.seg_nodes.shape[0], 4))
-    if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
-        seg = np.outer(p.eps**2 * mesh.seg_weights / mesh.seg_len**2, [1.0, -1.0, -1.0, 1.0])
-    contrib = np.concatenate([blocks.ravel(), diag + shift, seg.ravel()])
-    return np.bincount(mesh.band_slots, contrib)[:-1].reshape(mesh.bandwidth + 1, -1)
+    seg = np.zeros((3, mesh.seg_nodes.shape[0]))
+    if p.eps > 0.0 and mesh.seg_nodes.shape[0]:  # pairs (0, 0), (1, 0), (1, 1)
+        seg = np.outer([1.0, -1.0, 1.0], p.eps**2 * mesh.seg_weights / mesh.seg_len**2)
+    contrib = np.concatenate([np.einsum("rn,rcn->cn", coef, mesh.cell_products).ravel(),
+                              diag + shift, seg.ravel()])
+    n, rows = mesh.num_nodes, mesh.bandwidth + 1
+    return np.bincount(mesh.band_slots, contrib, n * rows).reshape(n, rows).T
 
 
 def hess_phi_vec(mesh, p, u, v):

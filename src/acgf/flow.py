@@ -14,10 +14,14 @@ The inner solver is the primal-dual Newton method of Chan, Golub and
 Mulet (SIAM J. Sci. Comput. 20(6), 1999) with an Armijo backtracking line
 search on J. Each iterate assembles the Newton matrix of J as a band in the
 mesh's ``band_order`` and solves for the step d with one banded Cholesky
-factorization. J is strongly convex, so that matrix is symmetric positive
-definite; a factorization that fails means the subproblem has lost strong
-convexity and raises SolverError. The total-variation block of every cell
-uses a dual flux w in place of grad v / s (s = sqrt(|grad v|^2 + delta^2)):
+factorization, which overwrites the band in place. J is strongly convex, so
+that matrix is symmetric positive definite; a factorization that fails means
+the subproblem has lost strong convexity and raises SolverError. Neither
+LAPACK call scans its input for NaN or inf. A non-finite entry either stops
+the factorization or leaves a NaN or an infinite pivot on the factor's
+diagonal, which is checked; a non-finite d fails the slope check. All three
+raise SolverError. The total-variation block of every cell uses a dual flux
+w in place of grad v / s (s = sqrt(|grad v|^2 + delta^2)):
 
     (I - (w grad v^T + grad v w^T) / (2 s)) / s,
 
@@ -148,7 +152,8 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters):
     v = anchor.copy()
     w = np.zeros((mesh.cell_ops.shape[0], mesh.dim))  # dual flux, |w| < 1 per cell
     backtracks = 0
-    fv = value(v)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught just below
+        fv = value(v)
     if not np.isfinite(fv):
         raise SolverError("non-finite objective at the inner solver start")
     gnorm = np.inf
@@ -156,19 +161,24 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters):
     # the objective; the sufficient-decrease test gets that much slack
     slack = 1e-14 * (1.0 + abs(fv))
     for it in range(max_iters):
-        pg = partial(v)
-        gnorm = math.sqrt(float(np.dot(pg * pg, 1.0 / m)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pg = partial(v)
+            gnorm = math.sqrt(float(np.dot(pg * pg, 1.0 / m)))
         if not np.isfinite(gnorm):
             raise SolverError("non-finite gradient in the inner solver")
         if gnorm <= tol:
             return v, it, gnorm, backtracks
         try:
-            factor = cholesky_banded(en.hessian(mesh, p, v, m / tau, w), lower=True)
+            factor = cholesky_banded(en.hessian(mesh, p, v, m / tau, w), overwrite_ab=True,
+                                     lower=True, check_finite=False)
         except LinAlgError as e:  # the subproblem has lost strong convexity
             raise SolverError(
                 f"Newton matrix is not positive definite at gradient norm {gnorm:.3e}") from e
+        if not np.isfinite(factor[0]).all():  # a NaN, or an infinite pivot, which zeroes d there
+            raise SolverError(f"non-finite Newton matrix at gradient norm {gnorm:.3e}")
         d = np.empty_like(pg)
-        d[mesh.band_order] = cho_solve_banded((factor, True), -pg[mesh.band_order])
+        d[mesh.band_order] = cho_solve_banded((factor, True), -pg[mesh.band_order],
+                                              check_finite=False)
         slope = float(np.dot(pg, d))
         if not math.isfinite(slope):  # a NaN or inf anywhere in d makes pg . d so
             raise SolverError(f"non-finite Newton direction at gradient norm {gnorm:.3e}")

@@ -23,10 +23,14 @@ mesh kinds.
 Nodes are numbered ring by ring, so the energy Hessian is a band. Its
 storage order ``band_order`` (the identity on the interval; on the disc
 each ring at spokes 0, 1, ntheta-1, 2, ntheta-2, ...) folds the periodic
-seam, so the bandwidth is ntheta + 2 rather than 2 ntheta - 1. Where each
-Hessian contribution lands in the band depends on the mesh alone and is
-built once, on first use. A mesh whose band would hold more than
-``MAX_BAND_ENTRIES`` numbers is rejected before anything is allocated.
+seam, so the bandwidth is ntheta + 2 rather than 2 ntheta - 1. The band is
+LAPACK's lower band storage, laid out column-major as LAPACK reads it.
+Two tables depend on the mesh alone and are built once, on first use:
+the flat slot of every Hessian contribution in that layout, which holds
+only the lower entry of each symmetric pair, and the products of the
+cell operators that turn a cell's coefficients into its contributions. A
+mesh whose band would hold more than ``MAX_BAND_ENTRIES`` numbers is
+rejected before anything is allocated.
 """
 
 import functools
@@ -37,6 +41,29 @@ from .errors import ConfigError
 
 
 MAX_BAND_ENTRIES = 2**24  # nodes * (bandwidth + 1) doubles: 128 MiB per Newton band
+
+# (a, b), a <= b: the packed coefficients of a symmetric dim x dim matrix
+PACKED = {dim: np.triu_indices(dim) for dim in (1, 2)}
+# (p, q), p >= q: the lower pairs of a k x k block, k the nodes of a cell or segment
+_LOWER = {k: np.tril_indices(k) for k in (2, 4)}
+
+
+def _product_index(dim, k):
+    """Row indices into a cell operator flattened to dim k rows, for ``cell_products``.
+
+    Entry (r, c) pairs coefficient (a, b) = PACKED[dim][:, r] with corner pair
+    (p, q) = _LOWER[k][:, c] and needs ops[a, p] ops[b, q], plus ops[b, p]
+    ops[a, q] where a != b. Returns the rows of the first product for every
+    entry, then the entries with a != b and the rows of their second product.
+    """
+    (a, b), (p, q) = PACKED[dim], _LOWER[k]
+    ap, bq, bp, aq = [x.ravel() for x in (a[:, None] * k + p, b[:, None] * k + q,
+                                          b[:, None] * k + p, a[:, None] * k + q)]
+    off = np.flatnonzero(np.repeat(a != b, len(p)))
+    return ap, bq, off, bp[off], aq[off]
+
+
+_PRODUCT_INDEX = {(dim, k): _product_index(dim, k) for dim, k in ((1, 2), (2, 4))}
 
 
 def _check_band_size(fields, nodes, bandwidth):
@@ -51,20 +78,45 @@ class _Mesh:
 
     @functools.cached_property
     def band_slots(self):
-        """Flat index of every Hessian contribution in the lower band, built on first use.
+        """Flat index of every Hessian contribution in the column-major band, built on first use.
 
-        Contributions are ordered as: the k x k block of every cell (cells in
-        order, each block row-major over ``cell_nodes``), one diagonal entry per
-        node, then the 2 x 2 block of every boundary segment. Those above the
-        diagonal land in one slot past the band, which ``energy.hessian`` drops.
+        Entry (i, j) of the Newton matrix, i >= j in ``band_order`` positions,
+        sits at ``(i - j) + j * (bandwidth + 1)``, which ``reshape(n, bandwidth
+        + 1).T`` turns into LAPACK lower band storage without a copy. Each
+        symmetric pair is stored once, as its lower entry. Contributions are
+        ordered as: for each corner pair (p, q), p >= q, of ``np.tril_indices(k)``
+        every cell in order; one diagonal entry per node; then for each pair of
+        ``np.tril_indices(2)`` every boundary segment in order.
         """
-        n, bw, k, sn = self.num_nodes, self.bandwidth, self.cell_nodes.shape[1], self.seg_nodes
-        pos = np.argsort(self.band_order)
-        rows = pos[np.concatenate([np.repeat(self.cell_nodes, k, axis=1).ravel(), np.arange(n),
-                                   np.repeat(sn, 2, axis=1).ravel()])]
-        cols = pos[np.concatenate([np.tile(self.cell_nodes, (1, k)).ravel(), np.arange(n),
-                                   np.tile(sn, (1, 2)).ravel()])]
-        return np.where(rows >= cols, (rows - cols) * n + cols, (bw + 1) * n)
+        bw = self.bandwidth
+        pos = np.empty(self.num_nodes, dtype=np.intp)
+        pos[self.band_order] = np.arange(self.num_nodes)
+
+        def lower(nodes):
+            p, q = _LOWER[nodes.shape[1]]
+            at = pos[nodes.T]
+            i, j = at[p], at[q]
+            return (i + j + (bw - 1) * np.minimum(i, j)).ravel()  # max + bw min
+
+        return np.concatenate([lower(self.cell_nodes), pos * (bw + 1), lower(self.seg_nodes)])
+
+    @functools.cached_property
+    def cell_products(self):
+        """Weighted products of ``cell_ops`` rows, shape (dim (dim + 1) / 2, k (k + 1) / 2, cells).
+
+        Row r belongs to the coefficient A[a, b], (a, b) the r-th entry of
+        ``np.triu_indices(dim)``, of a symmetric dim x dim matrix A per cell;
+        column c to the c-th corner pair (p, q) of ``np.tril_indices(k)``. A
+        cell's term ``cell_weight * ops^T A ops`` at (p, q) is then the sum over
+        r of A[a, b] times entry (r, c), and [r, c, :] follows ``band_slots``.
+        """
+        ap, bq, off, bp, aq = _PRODUCT_INDEX[self.dim, self.cell_ops.shape[2]]
+        ops = np.ascontiguousarray(self.cell_ops.reshape(len(self.cell_ops), -1).T)  # row a k + p
+        weighted = ops * self.cell_weights
+        table = weighted[ap]
+        table *= ops[bq]
+        table[off] += weighted[bp] * ops[aq]
+        return table.reshape(len(PACKED[self.dim][0]), -1, len(self.cell_ops))
 
 
 class IntervalMesh(_Mesh):

@@ -43,7 +43,9 @@ class SmoothedNorm:
         ``dual`` is a flux w of the same shape as ``omega``; the default
         w = omega / s gives the exact Hessian I/s - omega omega^T / s^3. For
         |w| < 1 the matrix is symmetric positive definite with eigenvalues
-        at least (1 - |w| |omega| / s) / s.
+        at least (1 - |w| |omega| / s) / s. ``energy.hessian`` assembles the
+        same blocks from their packed coefficients; this full form is the
+        reference its tests compare against.
         """
         omega, s = self._scale(omega)
         w = omega / s[..., None] if dual is None else np.asarray(dual, dtype=float)

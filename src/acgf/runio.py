@@ -53,14 +53,19 @@ def trace_to_csv(trace):
     return "\n".join(lines) + "\n"
 
 
+def _row_prefixes(mesh):
+    """The ``node_id,x,y,is_boundary,`` start of every snapshot row; it depends on the mesh alone."""
+    return [f"{i},{fmt(x)},{fmt(y)},{int(b)},"
+            for i, ((x, y), b) in enumerate(zip(mesh.coords.tolist(), mesh.is_boundary.tolist()))]
+
+
+def _snapshot_csv(prefixes, values):
+    rows = [pre + format(v, ".17g") for pre, v in zip(prefixes, np.asarray(values, float).tolist())]
+    return "\n".join([SNAPSHOT_HEADER] + rows) + "\n"
+
+
 def snapshot_to_csv(mesh, values):
-    lines = [SNAPSHOT_HEADER]
-    for i in range(mesh.num_nodes):
-        lines.append(",".join([
-            str(i), fmt(mesh.coords[i, 0]), fmt(mesh.coords[i, 1]),
-            "1" if mesh.is_boundary[i] else "0", fmt(values[i]),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _snapshot_csv(_row_prefixes(mesh), values)
 
 
 def read_snapshot_values(path, expected_nodes):
@@ -108,9 +113,10 @@ def write_run_outputs(outdir, mesh, cfg_echo, trace, snapshots):
     atomic_write_text(os.path.join(outdir, "config_echo.json"),
                       json.dumps(cfg_echo, indent=2, sort_keys=True) + "\n")
     atomic_write_text(os.path.join(outdir, "trace.csv"), trace_to_csv(trace))
+    prefixes = _row_prefixes(mesh) if snapshots else []
     for step, values in snapshots:
         atomic_write_text(os.path.join(outdir, f"snapshot_{step:06d}.csv"),
-                          snapshot_to_csv(mesh, values))
+                          _snapshot_csv(prefixes, values))
 
 
 def write_sweep_report(outdir, report, cfg_echo):

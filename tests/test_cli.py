@@ -16,9 +16,11 @@ import acgf.cli
 import acgf.energy
 import acgf.experiments
 import acgf.flow
+import acgf.runio
 from acgf.cli import main
 from acgf.config import config_from_dict, load_config
 from acgf.errors import ConfigError
+from acgf.meshes import DiscMesh, IntervalMesh
 from acgf.runio import fmt, read_snapshot_values
 from conftest import json_values, key_paths
 
@@ -206,6 +208,21 @@ class TestRun:
         assert "step 1: Newton matrix is not positive definite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_newton_matrix_exits_1(self, tmp_path, capsys, monkeypatch, value):
+        hessian = acgf.energy.hessian
+
+        def spoiled(*a):
+            band = hessian(*a)
+            band[0, 3] = value
+            return band
+
+        monkeypatch.setattr(acgf.energy, "hessian", spoiled)
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "step 1: non-finite Newton matrix" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestConfigEcho:
     def test_round_trip_identical(self, tmp_path):
@@ -315,6 +332,26 @@ class TestSweepCommands:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command,args,message", [
+        ("sweep-reg", ["--pairs", "2:0.5"], "--pairs: delta must lie in (0, 1], got 2.0"),
+        ("sweep-reg", ["--pairs", "0.5:0.5,0.25:0"], "--pairs: lambda must lie in (0, 1], got 0.0"),
+        ("probe-mosco", ["--deltas", "3"], "--deltas: delta must lie in (0, 1], got 3.0"),
+        ("sweep-eps", ["--eps-list", "1e200", "--eps0", "0"],
+         "--eps-list: eps must be nonnegative with a finite square, got 1e+200"),
+        ("sweep-eps", ["--eps-list", "0.5", "--eps0", "inf"],
+         "--eps0: eps must be nonnegative with a finite square, got inf"),
+    ])
+    def test_every_member_checked_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                   command, args, message):
+        def no_solve(*a, **kw):
+            raise AssertionError("a member was solved before every member was checked")
+
+        monkeypatch.setattr(acgf.experiments, "run_flow", no_solve)
+        cfg = write_cfg(tmp_path, DISC)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")] + args) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_dep(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         out = str(tmp_path / "dep")
@@ -373,6 +410,22 @@ def test_sweep_reports_are_byte_stable(tmp_path):
     first = (tmp_path / "stable" / "report.json").read_bytes()
     assert main(args) == 0
     assert (tmp_path / "stable" / "report.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("mesh", [IntervalMesh(1.0, 8), DiscMesh(1.0, 4, 8)],
+                         ids=["interval", "disc"])
+def test_snapshot_bytes_match_per_row_formatting(tmp_path, mesh):
+    rng = np.random.default_rng(7)
+    snapshots = [(0, rng.uniform(-1.0, 1.0, mesh.num_nodes)),
+                 (3, rng.standard_normal(mesh.num_nodes) * 1e-300)]
+    acgf.runio.write_run_outputs(str(tmp_path), mesh, {}, [], snapshots)
+    for step, values in snapshots:
+        rows = ["node_id,x,y,is_boundary,value"] + [
+            ",".join([str(i), fmt(mesh.coords[i, 0]), fmt(mesh.coords[i, 1]),
+                      "1" if mesh.is_boundary[i] else "0", fmt(values[i])])
+            for i in range(mesh.num_nodes)]
+        expected = ("\n".join(rows) + "\n").encode("utf-8")
+        assert (tmp_path / f"snapshot_{step:06d}.csv").read_bytes() == expected
 
 
 def test_fmt_round_trips_float64():

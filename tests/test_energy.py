@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky_banded
 
 from acgf.config import config_from_dict
 from acgf.energy import (
@@ -22,7 +23,7 @@ from acgf.energy import (
     phi_regularized,
 )
 from acgf.errors import ConfigError
-from acgf.meshes import DiscMesh, IntervalMesh, h_inner, h_norm
+from acgf.meshes import DiscMesh, IntervalMesh, bulk_gradient, h_inner, h_norm
 from acgf.potentials import indicator, quadratic, tabulated
 
 IND = indicator(-1.0, 1.0)
@@ -206,6 +207,45 @@ class TestGradient:
             fd = (_grad_partial(mesh, p, u + h * v) - _grad_partial(mesh, p, u - h * v)) / (2 * h)
             assert np.abs(H @ v - fd).max() <= 1e-5 * (1.0 + np.abs(fd).max())
         np.linalg.cholesky(dense_from_band(mesh, hessian(mesh, p, u, mesh.mass / tau)))
+
+    @pytest.mark.parametrize("mesh", [IntervalMesh(1.0, 8), DiscMesh(1.0, 4, 8)],
+                             ids=["interval", "disc"])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    @pytest.mark.parametrize("dual", [False, True], ids=["exact", "dual"])
+    def test_band_matches_the_cellwise_dense_oracle(self, mesh, eps, dual):
+        # sum over cells of ops^T (SmoothedNorm.hess + kappa^2 I) ops * weight,
+        # plus the diagonal and the surface segments, assembled densely in node order
+        p = make_params(delta=0.3, lam=0.25, eps=eps, kappa=0.8,
+                        bulk_potential=TAB, bdry_potential=TAB)
+        rng = np.random.default_rng(43)
+        u = rng.uniform(-0.9, 0.9, mesh.num_nodes)
+        shift = rng.uniform(1.0, 2.0, mesh.num_nodes)
+        w = None
+        if dual:
+            w = rng.standard_normal((mesh.cell_nodes.shape[0], mesh.dim))
+            w *= rng.uniform(0.0, 0.999, (len(w), 1)) / np.linalg.norm(w, axis=1, keepdims=True)
+        f = p.norm(mesh)
+        a = f.hess(bulk_gradient(mesh, u), w) + p.kappa**2 * np.eye(mesh.dim)
+        H = np.diag(shift + p.bulk_potential.yosida_derivative(p.lam, u) * mesh.w_bulk)
+        bn = mesh.boundary_nodes
+        H[bn, bn] += p.bdry_potential.yosida_derivative(p.lam, u[bn]) * mesh.w_bdry
+        for nodes, ops, a_c, wt in zip(mesh.cell_nodes, mesh.cell_ops, a, mesh.cell_weights):
+            H[np.ix_(nodes, nodes)] += ops.T @ a_c @ ops * wt
+        if eps > 0.0:
+            for nodes, wt in zip(mesh.seg_nodes, mesh.seg_weights):
+                H[np.ix_(nodes, nodes)] += eps**2 * wt / mesh.seg_len**2 * np.array([[1, -1], [-1, 1]])
+        band = hessian(mesh, p, u, shift, w)
+        assert band.shape == (mesh.bandwidth + 1, mesh.num_nodes)
+        assert np.abs(dense_from_band(mesh, band) - H).max() <= 1e-13 * np.abs(H).max()
+
+    def test_band_is_column_major_and_factored_in_place(self):
+        mesh = DiscMesh(1.0, 4, 8)
+        p = make_params(delta=0.3, lam=0.25, eps=0.5, kappa=0.8)
+        u = np.random.default_rng(47).uniform(-0.9, 0.9, mesh.num_nodes)
+        band = hessian(mesh, p, u, mesh.mass * 128.0)
+        assert band.flags.f_contiguous
+        factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+        assert np.shares_memory(factor, band)
 
     def test_midpoint_convexity_along_segments(self):
         mesh = IntervalMesh(1.0, 16)

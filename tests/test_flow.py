@@ -99,8 +99,8 @@ class TestProximalStep:
         # the line search's envelopes fail differently per well kind, so d is checked first
         cho_solve_banded = acgf.flow.cho_solve_banded
 
-        def one_nan(cb, b):
-            x = cho_solve_banded(cb, b)
+        def one_nan(cb, b, **kwargs):
+            x = cho_solve_banded(cb, b, **kwargs)
             x[3] = np.nan
             return x
 
@@ -120,6 +120,37 @@ class TestRunFlow:
         u = np.random.default_rng(5).uniform(-0.9, 0.9, m.num_nodes)
         with pytest.raises(SolverError, match="step 1: Newton matrix is not positive definite"):
             run_flow(m, make_params(), FlowParams(tau=0.1, T=1.0), u)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 5), (2, 3), (0, 31)],
+                             ids=["diagonal", "subdiagonal", "last-pivot"])
+    def test_non_finite_newton_matrix_is_a_solver_error(self, monkeypatch, value, entry):
+        # the band is factored unchecked; an infinite pivot would zero d there silently
+        hessian = acgf.energy.hessian
+
+        def spoiled(*a):
+            band = hessian(*a)
+            band[entry] = value
+            return band
+
+        monkeypatch.setattr(acgf.energy, "hessian", spoiled)
+        m = DiscMesh(1.0, 4, 8)
+        u = np.random.default_rng(5).uniform(-0.9, 0.9, m.num_nodes)
+        with pytest.raises(SolverError, match="step 1: ") as exc:
+            run_flow(m, make_params(), FlowParams(tau=0.1, T=1.0), u)
+        assert not isinstance(exc.value, NonconvergenceError)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mesh,params,message", [
+        (IntervalMesh(1.0, 16), dict(kappa=1e100), "non-finite gradient"),
+        (IntervalMesh(1.0, 16), dict(kappa=1e154), "non-finite objective"),
+        (DiscMesh(1.0, 4, 8), dict(eps=1e154), "non-finite gradient"),
+    ], ids=["gradient-norm", "objective", "surface-gradient"])
+    def test_overflow_is_a_solver_error_without_warnings(self, mesh, params, message):
+        u = np.random.default_rng(0).uniform(-0.9, 0.9, mesh.num_nodes)
+        with pytest.raises(SolverError, match=f"step 1: {message}"):
+            run_flow(mesh, make_params(**params), FlowParams(tau=0.05, T=0.1), u)
 
     def test_pure_convex_dissipation_any_tau(self):
         for mesh in (IntervalMesh(1.0, 32), DiscMesh(1.0, 6, 12)):
