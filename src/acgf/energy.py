@@ -21,6 +21,15 @@ with mesh-dependent speed.
 The eps = 0 path skips the surface term entirely instead of multiplying
 by zero, so an interval mesh and a disc at eps = 0 assemble identically
 apart from the boundary wells.
+
+The value, the gradient and the Hessian band read one ``Evaluation`` of
+the field, which computes once the cell gradients, s = sqrt(|grad u|^2 +
+delta^2) (so f_delta = s - delta, with gradient grad u / s), the surface
+slopes and, per side, the well's envelope, Yosida slope and slope
+derivative from one prox. Each of the three takes a field, which it
+evaluates, or an Evaluation, so the inner solver evaluates every trial
+point once and reuses the accepted one. ``SmoothedNorm`` keeps the same
+formulas as the reference form that the tests check these against.
 """
 
 import math
@@ -31,7 +40,6 @@ from scipy.linalg.blas import dsbmv
 
 from .errors import ConfigError
 from .meshes import PACKED, bulk_gradient, h_norm, surface_gradient
-from .norms import SmoothedNorm
 from .potentials import ScalarConvexPotential
 
 
@@ -159,9 +167,6 @@ class EnergyParams:
         if not self.bulk_potential.same_domain(self.bdry_potential):
             raise ConfigError("bulk and boundary potentials must share one domain interval")
 
-    def norm(self, mesh):
-        return SmoothedNorm(self.delta, mesh.dim)
-
     def replace(self, **kw):
         from dataclasses import replace as _replace
 
@@ -225,30 +230,59 @@ class ForcingField:
 # ---------------------------------------------------------------------------
 # assembly
 
-def _convex_terms(mesh, p, u):
-    """Regularized convex energy split: (tv, quad, bulk_pot, surface, bdry_pot)."""
-    g = bulk_gradient(mesh, u)
-    f = p.norm(mesh)
-    tv = float(np.dot(f.eval(g), mesh.cell_weights))
-    quad = 0.5 * p.kappa**2 * float(np.dot(np.einsum("nd,nd->n", g, g), mesh.cell_weights))
-    bulk_pot = float(np.dot(np.asarray(p.bulk_potential.envelope(p.lam, u)), mesh.w_bulk))
-    surf = 0.0
-    if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
-        sg = surface_gradient(mesh, u)
-        surf = 0.5 * p.eps**2 * float(np.dot(sg * sg, mesh.seg_weights))
-    ub = u[mesh.boundary_nodes]
-    bdry_pot = float(np.dot(np.asarray(p.bdry_potential.envelope(p.lam, ub)), mesh.w_bdry))
-    return tv, quad, bulk_pot, surf, bdry_pot
+class Evaluation:
+    """A nodal field u of (mesh, p) and every quantity the regularized energy reads of it.
+
+    Each is computed once, when the evaluation is built: the cell gradients
+    g, |g|^2, s^2 and s = sqrt(|g|^2 + delta^2), the total-variation flux
+    g / s, the surface slopes (None at eps = 0, where that term is skipped),
+    and for each side the well's (envelope, Yosida slope, slope derivative)
+    from one prox. The value, the gradient and the Newton band at u all read
+    them, and so does the inner solver's dual update. A field holding NaN or
+    inf gives non-finite quantities and a non-finite value, never an error.
+    """
+
+    def __init__(self, mesh, p, u):
+        self.mesh, self.p = mesh, p
+        self.u = u = np.asarray(u, dtype=float)
+        self.g = bulk_gradient(mesh, u)
+        self.g2 = np.einsum("nd,nd->n", self.g, self.g)
+        self.s2 = self.g2 + p.delta**2
+        self.s = np.sqrt(self.s2)
+        self.flux = self.g / self.s[:, None]
+        self.slopes = None
+        if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
+            self.slopes = surface_gradient(mesh, u)
+        self.bulk = p.bulk_potential.moreau(p.lam, u)
+        self.bdry = p.bdry_potential.moreau(p.lam, u[mesh.boundary_nodes])
+
+    def terms(self):
+        """Regularized convex energy split: (tv, quad, bulk_pot, surface, bdry_pot)."""
+        mesh, p = self.mesh, self.p
+        tv = float(np.dot(self.s - p.delta, mesh.cell_weights))
+        quad = 0.5 * p.kappa**2 * float(np.dot(self.g2, mesh.cell_weights))
+        bulk_pot = float(np.dot(self.bulk[0], mesh.w_bulk))
+        surf = 0.0
+        if self.slopes is not None:
+            surf = 0.5 * p.eps**2 * float(np.dot(self.slopes * self.slopes, mesh.seg_weights))
+        bdry_pot = float(np.dot(self.bdry[0], mesh.w_bdry))
+        return tv, quad, bulk_pot, surf, bdry_pot
+
+
+def _evaluate(mesh, p, u):
+    """u itself when it is an Evaluation already, else the Evaluation of the field u."""
+    return u if isinstance(u, Evaluation) else Evaluation(mesh, p, u)
 
 
 def energy_terms(mesh, p, u):
     """Regularized energy split: (tv, quad, bulk_pot, surface, bdry_pot, perturbation)."""
-    return _convex_terms(mesh, p, u) + (perturbation_energy(mesh, p, u),)
+    at = _evaluate(mesh, p, u)
+    return at.terms() + (perturbation_energy(mesh, p, at.u),)
 
 
 def phi_regularized(mesh, p, u):
-    """Value of the smoothed convex energy; always finite."""
-    t = _convex_terms(mesh, p, u)
+    """Value of the smoothed convex energy at a field or its Evaluation; non-finite where u is."""
+    t = _evaluate(mesh, p, u).terms()
     return t[0] + t[1] + t[2] + t[3] + t[4]
 
 
@@ -287,21 +321,17 @@ def free_energy(mesh, p, u):
 
 
 def _grad_partial(mesh, p, u):
-    """Euclidean nodal partial derivatives of the regularized energy."""
-    u = np.asarray(u, dtype=float)
-    g = bulk_gradient(mesh, u)
-    f = p.norm(mesh)
-    flux = (f.grad(g) + p.kappa**2 * g) * mesh.cell_weights[:, None]
+    """Euclidean nodal partial derivatives of the regularized energy at a field or its Evaluation."""
+    at = _evaluate(mesh, p, u)
+    flux = (at.flux + p.kappa**2 * at.g) * mesh.cell_weights[:, None]
     n = mesh.num_nodes
     out = np.bincount(mesh.cell_nodes.ravel(),
                       np.einsum("ndk,nd->nk", mesh.cell_ops, flux).ravel(), n)
-    out += np.asarray(p.bulk_potential.yosida(p.lam, u)) * mesh.w_bulk
-    if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
-        sg = surface_gradient(mesh, u)
-        c = p.eps**2 * sg * mesh.seg_weights / mesh.seg_len
+    out += at.bulk[1] * mesh.w_bulk
+    if at.slopes is not None:
+        c = p.eps**2 * at.slopes * mesh.seg_weights / mesh.seg_len
         out += np.bincount(mesh.seg_nodes[:, 1], c, n) - np.bincount(mesh.seg_nodes[:, 0], c, n)
-    bn = mesh.boundary_nodes
-    out[bn] += np.asarray(p.bdry_potential.yosida(p.lam, u[bn])) * mesh.w_bdry
+    out[mesh.boundary_nodes] += at.bdry[1] * mesh.w_bdry
     return out
 
 
@@ -313,12 +343,13 @@ def grad_phi_regularized(mesh, p, u):
 def hessian(mesh, p, u, shift, dual=None):
     """Euclidean Hessian of the regularized energy at u plus diag(shift), as a band.
 
-    Rows and columns follow ``mesh.band_order``, and entry (i, j) with
-    0 <= i - j <= ``mesh.bandwidth`` sits at ``[i - j, j]`` (LAPACK lower band
-    storage) of a Fortran-ordered array, so LAPACK factors it in place.
-    ``shift`` is a scalar or a nodal vector. ``dual`` is an optional per-cell
-    flux w that replaces grad u / s in the total-variation blocks; None gives
-    the exact Hessian. Each cell's block is cell_weight * ops^T A ops with
+    ``u`` is a field or its Evaluation. Rows and columns follow
+    ``mesh.band_order``, and entry (i, j) with 0 <= i - j <= ``mesh.bandwidth``
+    sits at ``[i - j, j]`` (LAPACK lower band storage) of a Fortran-ordered
+    array, so LAPACK factors it in place. ``shift`` is a scalar or a nodal
+    vector. ``dual`` is an optional per-cell flux w that replaces grad u / s in
+    the total-variation blocks; None gives the exact Hessian. Each cell's block
+    is cell_weight * ops^T A ops with
 
         A = (I - (w grad u^T + grad u w^T) / (2 s)) / s + kappa^2 I,
 
@@ -326,20 +357,16 @@ def hessian(mesh, p, u, shift, dual=None):
     packed upper-triangle coefficients weight ``mesh.cell_products``, and one
     scatter-add into ``mesh.band_slots`` stores each symmetric pair once.
     """
-    u = np.asarray(u, dtype=float)
-    g = bulk_gradient(mesh, u)
-    s2 = np.einsum("nd,nd->n", g, g) + p.delta**2
-    s = np.sqrt(s2)
-    gt = g.T
-    wt = gt / s if dual is None else np.asarray(dual, dtype=float).T
+    at = _evaluate(mesh, p, u)
+    gt = at.g.T
+    wt = at.flux.T if dual is None else np.asarray(dual, dtype=float).T
     a, b = PACKED[mesh.dim]
-    coef = (wt[a] * gt[b] + wt[b] * gt[a]) * (-0.5 / s2)  # (coefficient, cell)
-    coef += (a == b)[:, None] * (1.0 / s + p.kappa**2)
-    diag = np.asarray(p.bulk_potential.yosida_derivative(p.lam, u)) * mesh.w_bulk
-    bn = mesh.boundary_nodes
-    diag[bn] += np.asarray(p.bdry_potential.yosida_derivative(p.lam, u[bn])) * mesh.w_bdry
+    coef = (wt[a] * gt[b] + wt[b] * gt[a]) * (-0.5 / at.s2)  # (coefficient, cell)
+    coef += (a == b)[:, None] * (1.0 / at.s + p.kappa**2)
+    diag = at.bulk[2] * mesh.w_bulk
+    diag[mesh.boundary_nodes] += at.bdry[2] * mesh.w_bdry
     seg = np.zeros((3, mesh.seg_nodes.shape[0]))
-    if p.eps > 0.0 and mesh.seg_nodes.shape[0]:  # pairs (0, 0), (1, 0), (1, 1)
+    if at.slopes is not None:  # pairs (0, 0), (1, 0), (1, 1)
         seg = np.outer([1.0, -1.0, 1.0], p.eps**2 * mesh.seg_weights / mesh.seg_len**2)
     contrib = np.concatenate([np.einsum("rn,rcn->cn", coef, mesh.cell_products).ravel(),
                               diag + shift, seg.ravel()])

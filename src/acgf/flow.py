@@ -40,6 +40,13 @@ objective, the line search and the stopping test are those of J itself,
 and optimality is certified by the gradient norm in the product inner
 product, which does not depend on w.
 
+Each trial point of the line search is evaluated once, as an
+``energy.Evaluation``: its cell gradients, s and one prox per well side.
+The objective reads it, and once the point is accepted the next iterate's
+gradient, Newton matrix and dual update read it too, so none of them
+recomputes those quantities. A trial point whose value is not finite fails
+the Armijo test and halves the step.
+
 Importing this module sets scipy's OpenBLAS, which acgf uses for nothing
 but the band factorization and solve, to one thread: LAPACK factors a band
 wider than 64 in blocks, and their small BLAS calls run slower split over
@@ -134,42 +141,36 @@ class StepRecord:
 def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters):
     """Minimize |v - anchor|_H^2/(2 tau) + Phi(v) + (linear, v)_H, starting at anchor.
 
-    Returns (minimizer, iterations, certified gradient norm, line-search
-    halvings). Raises on NaN objectives, a non-finite Newton direction or an
-    exhausted budget.
+    Returns (the minimizer's ``energy.Evaluation``, iterations, certified
+    gradient norm, line-search halvings). Raises on NaN objectives, a
+    non-finite Newton direction or an exhausted budget.
     """
     m = mesh.mass
     ml = m * linear
 
-    def value(v):
-        dv = v - anchor
-        return (0.5 / tau * float(np.dot(m, dv * dv)) + en.phi_regularized(mesh, p, v)
-                + float(np.dot(ml, v)))
+    def value(at):
+        dv = at.u - anchor
+        return (0.5 / tau * float(np.dot(m, dv * dv)) + en.phi_regularized(mesh, p, at)
+                + float(np.dot(ml, at.u)))
 
-    def partial(v):
-        return m * (v - anchor) / tau + en._grad_partial(mesh, p, v) + ml
-
-    v = anchor.copy()
     w = np.zeros((mesh.cell_ops.shape[0], mesh.dim))  # dual flux, |w| < 1 per cell
     backtracks = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught just below
-        fv = value(v)
+        at = en.Evaluation(mesh, p, anchor.copy())  # the iterate v and all the energy reads of it
+        fv = value(at)
     if not np.isfinite(fv):
         raise SolverError("non-finite objective at the inner solver start")
     gnorm = np.inf
-    # near the optimum the true decrease drops below float resolution of
-    # the objective; the sufficient-decrease test gets that much slack
-    slack = 1e-14 * (1.0 + abs(fv))
     for it in range(max_iters):
         with np.errstate(over="ignore", invalid="ignore"):
-            pg = partial(v)
+            pg = m * (at.u - anchor) / tau + en._grad_partial(mesh, p, at) + ml
             gnorm = math.sqrt(float(np.dot(pg * pg, 1.0 / m)))
         if not np.isfinite(gnorm):
             raise SolverError("non-finite gradient in the inner solver")
         if gnorm <= tol:
-            return v, it, gnorm, backtracks
+            return at, it, gnorm, backtracks
         try:
-            factor = cholesky_banded(en.hessian(mesh, p, v, m / tau, w), overwrite_ab=True,
+            factor = cholesky_banded(en.hessian(mesh, p, at, m / tau, w), overwrite_ab=True,
                                      lower=True, check_finite=False)
         except LinAlgError as e:  # the subproblem has lost strong convexity
             raise SolverError(
@@ -182,21 +183,24 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters):
         slope = float(np.dot(pg, d))
         if not math.isfinite(slope):  # a NaN or inf anywhere in d makes pg . d so
             raise SolverError(f"non-finite Newton direction at gradient norm {gnorm:.3e}")
-        g, bd = bulk_gradient(mesh, v), bulk_gradient(mesh, d)
-        s = np.sqrt(np.einsum("nd,nd->n", g, g) + p.delta**2)[:, None]
-        dw = (bd - w * np.einsum("nd,nd->n", g, bd)[:, None] / s) / s + g / s - w
+        g, s, bd = at.g, at.s[:, None], bulk_gradient(mesh, d)
+        dw = (bd - w * np.einsum("nd,nd->n", g, bd)[:, None] / s) / s + at.flux - w
         w += _dual_step(w, dw) * dw
+        # near the optimum the true decrease drops below float resolution of
+        # the objective; the sufficient-decrease test gets that much slack, taken
+        # from the current objective, which may lie orders below the start's
+        slack = 1e-14 * (1.0 + abs(fv))
         alpha = 1.0
         for _ in range(40):
-            vn = v + alpha * d
-            fn = value(vn)
+            trial = en.Evaluation(mesh, p, at.u + alpha * d)
+            fn = value(trial)
             if np.isfinite(fn) and fn <= fv + 1e-4 * alpha * slope + slack:
                 break
             alpha *= 0.5
             backtracks += 1
         else:
             raise SolverError(f"inner line search stalled at gradient norm {gnorm:.3e}")
-        v, fv = vn, fn
+        at, fv = trial, fn
     raise NonconvergenceError(
         f"inner solver hit {max_iters} iterations with residual {gnorm:.3e}",
         residual=gnorm,
@@ -229,9 +233,10 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None):
     linear = en.gcal(mesh, p, uprev)
     if theta_n is not None:
         linear = linear - theta_n
-    v, iters, residual, backtracks = _solve_strongly_convex(
+    at, iters, residual, backtracks = _solve_strongly_convex(
         mesh, p, fp.tau, uprev, linear, tol, fp.inner_max_iters)
-    terms = en.energy_terms(mesh, p, v)
+    v = at.u
+    terms = en.energy_terms(mesh, p, at)
     phi = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
     rec = StepRecord(
         step=-1,
@@ -290,5 +295,5 @@ def resolvent(mesh, p, w, inner_tol=None, inner_max_iters=200):
     if w.shape != (mesh.num_nodes,):
         raise ValueError(f"field has shape {w.shape}, mesh has {mesh.num_nodes} nodes")
     tol = inner_tol if inner_tol is not None else default_inner_tol(mesh)
-    v, _, _, _ = _solve_strongly_convex(mesh, p, 1.0, w, np.zeros_like(w), tol, inner_max_iters)
-    return v
+    at, _, _, _ = _solve_strongly_convex(mesh, p, 1.0, w, np.zeros_like(w), tol, inner_max_iters)
+    return at.u

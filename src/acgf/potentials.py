@@ -14,7 +14,10 @@ Three kinds are shipped:
   +inf outside the table range.
 
 Every kind has a closed-form prox and an exact a.e. derivative of its
-Yosida slope. For a tabulated well with breakpoints t_i and segment
+Yosida slope. ``moreau`` returns the envelope, the Yosida slope and its
+derivative together from one prox, which is what the energy reads per
+side of the field; ``envelope``, ``yosida`` and ``yosida_derivative`` each
+take one part of it. For a tabulated well with breakpoints t_i and segment
 slopes s_i the prox is itself piecewise linear in r (Parikh & Boyd,
 *Proximal Algorithms*, 2014, sec. 6): it rests on t_i for r in
 [t_i + lam*s_{i-1}, t_i + lam*s_i] and is r - lam*s_i in between.
@@ -52,28 +55,45 @@ class ScalarConvexPotential:
         raise NotImplementedError
 
     def prox(self, lam, r):
-        """argmin_t (t-r)^2/(2 lam) + B(t); unique by strict convexity."""
+        """argmin_t (t-r)^2/(2 lam) + B(t); unique by strict convexity. r must be finite."""
+        lam = _check_lam(lam)
+        _check_finite(r)
+        arr, scalar = _as_array(r)
+        return _restore(self._prox(lam, arr), scalar)
+
+    def moreau(self, lam, r):
+        """(envelope, Yosida slope, slope derivative) at r, all from one prox of r.
+
+        The envelope is B^lam(r) = (p - r)^2/(2 lam) + B(p), p = prox(r); the
+        Yosida slope (r - p)/lam is its derivative, and the slope's a.e.
+        derivative in r is the Hessian diagonal. Unlike ``prox``, a NaN or
+        infinite r is not an error: it gives non-finite results, so that a
+        line search can reject a non-finite trial point.
+        """
+        lam = _check_lam(lam)
+        arr, scalar = _as_array(r)
+        env, slope, dslope = self._moreau(lam, arr)
+        return _restore(env, scalar), _restore(slope, scalar), _restore(dslope, scalar)
+
+    def _prox(self, lam, arr):
+        """The prox of a float array, unchecked: each kind's closed form."""
+        raise NotImplementedError
+
+    def _moreau(self, lam, arr):
+        """``moreau`` of a float array: each kind's closed forms around one prox."""
         raise NotImplementedError
 
     def envelope(self, lam, r):
-        """Moreau envelope B^lam(r) = (p-r)^2/(2 lam) + B(p), p = prox."""
-        lam = _check_lam(lam)
-        p = self.prox(lam, r)
-        arr, scalar = _as_array(r)
-        pa = np.asarray(p, dtype=float)
-        out = (pa - arr) ** 2 / (2.0 * lam) + np.asarray(self.value(pa), dtype=float)
-        return _restore(out, scalar)
+        """Moreau envelope B^lam(r) = min_t (t-r)^2/(2 lam) + B(t)."""
+        return self.moreau(lam, r)[0]
 
     def yosida(self, lam, r):
         """Yosida slope (r - prox(r)) / lam; the derivative of the envelope."""
-        lam = _check_lam(lam)
-        arr, scalar = _as_array(r)
-        p = np.asarray(self.prox(lam, arr), dtype=float)
-        return _restore((arr - p) / lam, scalar)
+        return self.moreau(lam, r)[1]
 
     def yosida_derivative(self, lam, r):
         """a.e. derivative of the Yosida slope in r (the Hessian diagonal)."""
-        raise NotImplementedError
+        return self.moreau(lam, r)[2]
 
     def project(self, r):
         """Clamp onto the closed domain: (r v lo) ^ hi."""
@@ -122,23 +142,13 @@ class _Indicator(ScalarConvexPotential):
         out = np.where((arr >= self.lo) & (arr <= self.hi), 0.0, np.inf)
         return _restore(out, scalar)
 
-    def prox(self, lam, r):
-        _check_lam(lam)
-        _check_finite(r)
-        arr, scalar = _as_array(r)
-        return _restore(np.clip(arr, self.lo, self.hi), scalar)
+    def _prox(self, lam, arr):
+        return np.clip(arr, self.lo, self.hi)
 
-    def envelope(self, lam, r):
-        lam = _check_lam(lam)
-        arr, scalar = _as_array(r)
-        d = np.maximum(arr - self.hi, 0.0) + np.maximum(self.lo - arr, 0.0)
-        return _restore(d * d / (2.0 * lam), scalar)
-
-    def yosida_derivative(self, lam, r):
-        lam = _check_lam(lam)
-        arr, scalar = _as_array(r)
-        out = np.where((arr < self.lo) | (arr > self.hi), 1.0 / lam, 0.0)
-        return _restore(out, scalar)
+    def _moreau(self, lam, arr):
+        d = arr - self._prox(lam, arr)
+        outside = (arr < self.lo) | (arr > self.hi)
+        return d * d / (2.0 * lam), d / lam, np.where(outside, 1.0 / lam, 0.0)
 
     def minimal_section(self, r):
         # Shipped convention: 0 on the interior, +-inf at the endpoints,
@@ -166,22 +176,13 @@ class _Quadratic(ScalarConvexPotential):
         arr, scalar = _as_array(r)
         return _restore(0.5 * self.c * arr * arr, scalar)
 
-    def prox(self, lam, r):
-        lam = _check_lam(lam)
-        _check_finite(r)
-        arr, scalar = _as_array(r)
-        return _restore(arr / (1.0 + lam * self.c), scalar)
+    def _prox(self, lam, arr):
+        return arr / (1.0 + lam * self.c)
 
-    def envelope(self, lam, r):
-        lam = _check_lam(lam)
-        arr, scalar = _as_array(r)
-        return _restore(0.5 * self.c * arr * arr / (1.0 + lam * self.c), scalar)
-
-    def yosida_derivative(self, lam, r):
-        lam = _check_lam(lam)
-        arr, scalar = _as_array(r)
-        out = np.full_like(arr, self.c / (1.0 + lam * self.c))
-        return _restore(out, scalar)
+    def _moreau(self, lam, arr):
+        k = 1.0 + lam * self.c
+        return (0.5 * self.c * arr * arr / k, (arr - self._prox(lam, arr)) / lam,
+                np.full_like(arr, self.c / k))
 
     def minimal_section(self, r):
         arr, scalar = _as_array(r)
@@ -236,21 +237,20 @@ class _Tabulated(ScalarConvexPotential):
         i = np.minimum(np.searchsorted(ends, arr, side="right"), len(self.slopes) - 1)
         return i, arr - lam * self.slopes[i]
 
-    def prox(self, lam, r):
-        lam = _check_lam(lam)
-        _check_finite(r)
-        arr, scalar = _as_array(r)
+    def _prox(self, lam, arr):
         i, q = self._segment_shift(lam, arr)
-        return _restore(np.clip(q, self.ts[i], self.ts[i + 1]), scalar)
+        return np.clip(q, self.ts[i], self.ts[i + 1])
 
-    def yosida_derivative(self, lam, r):
-        # 0 where the prox moves with r inside a segment, 1/lam where it rests
-        # on a breakpoint
-        lam = _check_lam(lam)
-        arr, scalar = _as_array(r)
+    def _moreau(self, lam, arr):
         i, q = self._segment_shift(lam, arr)
-        moving = (q >= self.ts[i]) & (q < self.ts[i + 1])
-        return _restore(np.where(moving, 0.0, 1.0 / lam), scalar)
+        left, right = self.ts[i], self.ts[i + 1]
+        p = np.clip(q, left, right)
+        d = arr - p
+        # the slope's derivative is 0 where the prox moves with r inside a
+        # segment and 1/lam where it rests on a breakpoint
+        moving = (q >= left) & (q < right)
+        return (d * d / (2.0 * lam) + np.interp(p, self.ts, self.bs), d / lam,
+                np.where(moving, 0.0, 1.0 / lam))
 
     def optimality_residual(self, lam, r, p):
         """Distance of (r - p)/lam from the subdifferential interval at p."""

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ import acgf.runio
 from acgf.cli import main
 from acgf.config import config_from_dict, load_config
 from acgf.errors import ConfigError
-from acgf.meshes import DiscMesh, IntervalMesh
+from acgf.meshes import MAX_MESH_BYTES, DiscMesh, IntervalMesh
 from acgf.runio import fmt, read_snapshot_values
 from conftest import json_values, key_paths
 
@@ -199,6 +200,25 @@ class TestRun:
         cfg = write_cfg(tmp_path, BASE)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "file" / "o")]) == 2
         assert "cannot write outputs: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("above", [0, 1], ids=["largest", "one-more"])
+    def test_interval_node_count_bounded_by_mesh_memory(self, tmp_path, capsys, above):
+        n = MAX_MESH_BYTES // IntervalMesh.node_bytes - 1 + above  # n cells, n + 1 nodes
+        cfg = write_cfg(tmp_path, {**BASE, "mesh": {"kind": "interval", "L": 1.0, "n": n}})
+        tracemalloc.start()
+        try:
+            with mock.patch.object(acgf.cli, "run_flow", lambda *a, **k: (None, [], [])):
+                code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if above:
+            assert code == 2
+            assert f"mesh.n: {n + 1} nodes need" in capsys.readouterr().err
+            assert peak < 2**20  # refused before the mesh arrays are made
+        else:
+            assert code == 0
+            assert peak <= MAX_MESH_BYTES
 
     def test_indefinite_newton_matrix_exits_1(self, tmp_path, capsys, monkeypatch):
         hessian = acgf.energy.hessian

@@ -7,6 +7,7 @@ from scipy.linalg import cholesky_banded
 from acgf.config import config_from_dict
 from acgf.energy import (
     EnergyParams,
+    Evaluation,
     ForcingField,
     SmoothPerturbation,
     energy_terms,
@@ -24,6 +25,7 @@ from acgf.energy import (
 )
 from acgf.errors import ConfigError
 from acgf.meshes import DiscMesh, IntervalMesh, bulk_gradient, h_inner, h_norm
+from acgf.norms import SmoothedNorm
 from acgf.potentials import indicator, quadratic, tabulated
 
 IND = indicator(-1.0, 1.0)
@@ -224,7 +226,7 @@ class TestGradient:
         if dual:
             w = rng.standard_normal((mesh.cell_nodes.shape[0], mesh.dim))
             w *= rng.uniform(0.0, 0.999, (len(w), 1)) / np.linalg.norm(w, axis=1, keepdims=True)
-        f = p.norm(mesh)
+        f = SmoothedNorm(p.delta, mesh.dim)
         a = f.hess(bulk_gradient(mesh, u), w) + p.kappa**2 * np.eye(mesh.dim)
         H = np.diag(shift + p.bulk_potential.yosida_derivative(p.lam, u) * mesh.w_bulk)
         bn = mesh.boundary_nodes
@@ -273,6 +275,42 @@ class TestGradient:
             gv = bulk_gradient(mesh, v)
             semi = float(np.dot(np.einsum("nd,nd->n", gv, gv), mesh.cell_weights))
             assert second >= p.kappa**2 * semi - 1e-6 * (1 + abs(second))
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("mesh", [IntervalMesh(1.0, 8), DiscMesh(1.0, 4, 8)],
+                             ids=["interval", "disc"])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_one_evaluation_gives_the_array_results_bit_for_bit(self, mesh, eps):
+        # read in the solver's order, twice: no reader may change what the next one reads
+        p = make_params(delta=0.3, lam=0.25, eps=eps, kappa=0.8,
+                        bulk_potential=TAB, bdry_potential=IND)
+        rng = np.random.default_rng(53)
+        u = rng.uniform(-1.2, 1.2, mesh.num_nodes)
+        shift = rng.uniform(1.0, 2.0, mesh.num_nodes)
+        w = rng.uniform(-0.5, 0.5, (mesh.cell_nodes.shape[0], mesh.dim))
+        at = Evaluation(mesh, p, u)
+        for _ in range(2):
+            assert phi_regularized(mesh, p, at) == phi_regularized(mesh, p, u)
+            assert np.array_equal(_grad_partial(mesh, p, at), _grad_partial(mesh, p, u))
+            for dual in (w, None):
+                assert np.array_equal(hessian(mesh, p, at, shift, dual),
+                                      hessian(mesh, p, u, shift, dual))
+            assert energy_terms(mesh, p, at) == energy_terms(mesh, p, u)
+
+    @pytest.mark.parametrize("well", [IND, quadratic(1.2), TAB],
+                             ids=["indicator", "quadratic", "tabulated"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_gives_a_non_finite_value(self, well, bad):
+        mesh = DiscMesh(1.0, 4, 8)
+        p = make_params(delta=0.3, lam=0.25, eps=0.5, bulk_potential=well, bdry_potential=well)
+        u = np.random.default_rng(59).uniform(-0.9, 0.9, mesh.num_nodes)
+        node = mesh.boundary_nodes[2]
+        u[node] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            at = Evaluation(mesh, p, u)
+            assert not np.isfinite(at.bulk[0][node]) and not np.isfinite(at.bdry[0][2])
+            assert not np.isfinite(phi_regularized(mesh, p, at))
 
 
 class TestResidual:

@@ -17,8 +17,8 @@ import acgf
 from acgf.config import config_from_dict
 from acgf.energy import EnergyParams, ForcingField, SmoothPerturbation, phi_regularized
 from acgf.errors import ConfigError, NonconvergenceError, SolverError
-from acgf.flow import (FlowParams, _dual_step, default_inner_tol, proximal_step, resolvent,
-                       run_flow)
+from acgf.flow import (FlowParams, _dual_step, _solve_strongly_convex, default_inner_tol,
+                       proximal_step, resolvent, run_flow)
 from acgf.meshes import DiscMesh, IntervalMesh, h_inner, h_norm
 from acgf.potentials import indicator, quadratic, tabulated
 
@@ -96,7 +96,7 @@ class TestProximalStep:
     @pytest.mark.parametrize("wells", [IND, quadratic(1.0), tabulated([[-1, 0.5], [0, 0], [1, 0.5]])],
                              ids=["indicator", "quadratic", "tabulated"])
     def test_non_finite_newton_direction_is_a_solver_error(self, monkeypatch, wells):
-        # the line search's envelopes fail differently per well kind, so d is checked first
+        # a non-finite d is refused before the line search, whatever the wells
         cho_solve_banded = acgf.flow.cho_solve_banded
 
         def one_nan(cb, b, **kwargs):
@@ -110,6 +110,57 @@ class TestProximalStep:
         p = make_params(bulk_potential=wells, bdry_potential=wells)
         with pytest.raises(SolverError, match="non-finite Newton direction"):
             proximal_step(m, p, FlowParams(tau=0.1, T=1.0), u)
+
+    @pytest.mark.parametrize("wells", [IND, quadratic(1.0), tabulated([[-1, 0.5], [0, 0], [1, 0.5]])],
+                             ids=["indicator", "quadratic", "tabulated"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_line_search_backtracks_past_a_non_finite_trial_point(self, monkeypatch, wells, bad):
+        m = IntervalMesh(1.0, 16)
+        u = np.random.default_rng(5).uniform(-0.9, 0.9, m.num_nodes)
+        p = make_params(bulk_potential=wells, bdry_potential=wells)
+        fp = FlowParams(tau=0.1, T=1.0)
+        clean, _ = proximal_step(m, p, fp, u)
+        made = []
+
+        class Spoiled(acgf.energy.Evaluation):
+            def __init__(self, mesh, p, u):
+                made.append(u)
+                if len(made) == 2:  # the first trial point of the line search
+                    u = np.array(u)
+                    u[3] = bad
+                super().__init__(mesh, p, u)
+
+        monkeypatch.setattr(acgf.energy, "Evaluation", Spoiled)
+        with np.errstate(invalid="ignore", over="ignore"):
+            v, rec = proximal_step(m, p, fp, u)
+        assert rec.inner_backtracks >= 1
+        assert rec.inner_residual <= default_inner_tol(m)
+        assert np.abs(v - clean).max() <= 1e-8
+
+    def test_armijo_slack_follows_the_current_objective(self, monkeypatch):
+        # the objective starts at 1e6, whose slack 1e-14 * (1 + 1e6) would pass a rise
+        # of 1e-10, and then sits at 1, where that rise is far above float resolution;
+        # the start is 1e-9 from the minimizer, so the Armijo decrease term is negligible
+        m = IntervalMesh(1.0, 16)
+        p = make_params()
+        tau = 0.1
+        anchor = np.random.default_rng(7).uniform(-0.5, 0.5, m.num_nodes)
+        linear = 1e-9 - acgf.energy.grad_phi_regularized(m, p, anchor)
+        script = iter([1e6, 1.0, 1.0 + 1e-10])
+        seen = []
+
+        def scripted(mesh, p, at):
+            # phi such that the objective takes the next scripted value, then 0.5
+            seen.append(at)
+            dv = at.u - anchor
+            rest = 0.5 / tau * float(np.dot(m.mass, dv * dv)) + float(np.dot(m.mass * linear, at.u))
+            return next(script, 0.5) - rest
+
+        monkeypatch.setattr(acgf.energy, "phi_regularized", scripted)
+        with pytest.raises(NonconvergenceError):
+            _solve_strongly_convex(m, p, tau, anchor, linear, 0.0, 2)
+        # the start, the first trial, then the second trial refused and its halving accepted
+        assert len(seen) == 4
 
 
 class TestRunFlow:

@@ -1,5 +1,7 @@
 """Mesh construction, quadrature, and the discrete differential operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,20 @@ class TestBand:
     def test_band_above_the_ceiling_rejected(self, spec, fields):
         with pytest.raises(ConfigError, match=fields):
             config_from_dict({"mesh": spec})
+
+    @pytest.mark.parametrize("make", [lambda: IntervalMesh(1.0, 2**14),
+                                      lambda: DiscMesh(1.0, 64, 64),
+                                      lambda: DiscMesh(1.0, 2**12, 4)],
+                             ids=["interval", "disc", "thin-disc"])
+    def test_mesh_and_tables_stay_within_their_bytes_per_node(self, make):
+        tracemalloc.start()
+        try:
+            m = make()
+            m.band_slots, m.cell_products
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= m.num_nodes * m.node_bytes
 
     def test_largest_documented_disc_fits(self):
         m = DiscMesh(1.0, 128, 256)

@@ -209,6 +209,76 @@ class TestYosida:
         assert np.all(ys <= ms + 1e-14)
 
 
+WELLS = {
+    "indicator": indicator(-1, 1),
+    "quadratic": quadratic(1.5),
+    "tabulated": tabulated([[-1.0, 0.6], [-0.5, 0.1], [0.0, 0.0], [0.5, 0.1], [1.0, 0.6]]),
+}
+
+
+def slope_kinks(pot, lam):
+    """The r where the Yosida slope bends: the prox enters or leaves a segment or the domain."""
+    if pot.kind == "tabulated":
+        return prox_knots(pot, lam)
+    return np.array([pot.lo, pot.hi])[np.isfinite([pot.lo, pot.hi])]
+
+
+@pytest.mark.parametrize("kind", WELLS)
+@pytest.mark.parametrize("lam", [0.3, 1.0])
+class TestMoreau:
+    """moreau's three parts against oracles that do not use the prox."""
+
+    def points(self, pot, lam):
+        # inside and outside a bounded domain, at least 0.02 away from every kink
+        rs = np.linspace(-3.0, 3.0, 61) + 0.013
+        return rs[np.abs(rs[:, None] - slope_kinks(pot, lam)).min(axis=1, initial=1.0) >= 0.02]
+
+    def test_envelope_is_the_dense_grid_minimum(self, kind, lam):
+        pot = WELLS[kind]
+        rs = self.points(pot, lam)
+        env = pot.moreau(lam, rs)[0]
+        lo, hi = max(pot.lo, -10.0), min(pot.hi, 10.0)
+        for r, e in zip(rs, env):
+            t = grid_prox_oracle(pot, lam, r, lo=lo, hi=hi)
+            assert e == pytest.approx((t - r) ** 2 / (2 * lam) + pot.value(t), abs=1e-5)
+
+    def test_slope_is_the_envelope_derivative(self, kind, lam):
+        pot = WELLS[kind]
+        rs, h = self.points(pot, lam), 1e-5
+        slope = pot.moreau(lam, rs)[1]
+        fd = (pot.moreau(lam, rs + h)[0] - pot.moreau(lam, rs - h)[0]) / (2 * h)
+        assert np.abs(fd - slope).max() <= 1e-6 * max(1.0, np.abs(slope).max())
+
+    def test_slope_derivative_is_the_slope_difference(self, kind, lam):
+        pot = WELLS[kind]
+        rs, h = self.points(pot, lam), 1e-4
+        dslope = pot.moreau(lam, rs)[2]
+        fd = (pot.moreau(lam, rs + h)[1] - pot.moreau(lam, rs - h)[1]) / (2 * h)
+        assert np.abs(fd - dslope).max() <= 1e-6 / lam
+
+    def test_scalars_and_the_three_readers_give_the_same_numbers(self, kind, lam):
+        pot = WELLS[kind]
+        rs = self.points(pot, lam)
+        parts = pot.moreau(lam, rs)
+        for i in range(0, len(rs), 5):
+            r = float(rs[i])
+            got = pot.moreau(lam, r)
+            assert all(type(x) is float for x in got)
+            assert got == tuple(float(x[i]) for x in parts)
+            assert (pot.envelope(lam, r), pot.yosida(lam, r), pot.yosida_derivative(lam, r)) == got
+
+
+@pytest.mark.parametrize("kind", WELLS)
+def test_non_finite_input_gives_a_non_finite_envelope_and_prox_still_refuses_it(kind):
+    pot = WELLS[kind]
+    with np.errstate(invalid="ignore"):
+        env = pot.moreau(0.5, np.array([np.nan, np.inf, -np.inf, 0.2]))[0]
+        assert not np.isfinite(pot.envelope(0.5, np.nan))
+    assert not np.isfinite(env[:3]).any() and np.isfinite(env[3])
+    with pytest.raises(ConfigError, match="prox requires finite input"):
+        pot.prox(0.5, np.array([0.2, np.inf]))
+
+
 class TestProjection:
     def test_clamp_above(self):
         assert indicator(-1, 1).project(2.0) == 1.0
