@@ -7,7 +7,6 @@ from .energy import (
     ForcingField,
     SmoothPerturbation,
     energy_terms,
-    euler_lagrange_residual,
     free_energy,
     grad_phi_regularized,
     is_feasible,
@@ -15,7 +14,7 @@ from .energy import (
     phi_regularized,
 )
 from .errors import ConfigError, NonconvergenceError, SolverError
-from .flow import FlowParams, StepRecord, proximal_step, resolvent, run_flow
+from .flow import FlowParams, StepRecord, proximal_step, run_flow
 from .meshes import (
     DiscMesh,
     IntervalMesh,
@@ -25,18 +24,10 @@ from .meshes import (
     laplace_beltrami,
     surface_gradient,
 )
-from .norms import SmoothedNorm, sgn_select
-from .potentials import (
-    CompatibilityConstants,
-    ScalarConvexPotential,
-    check_compatibility,
-    indicator,
-    quadratic,
-    tabulated,
-)
+from .norms import SmoothedNorm
+from .potentials import ScalarConvexPotential, indicator, quadratic, tabulated
 
 __all__ = [
-    "CompatibilityConstants",
     "ConfigError",
     "DiscMesh",
     "EnergyParams",
@@ -50,9 +41,7 @@ __all__ = [
     "SolverError",
     "StepRecord",
     "bulk_gradient",
-    "check_compatibility",
     "energy_terms",
-    "euler_lagrange_residual",
     "free_energy",
     "grad_phi_regularized",
     "h_inner",
@@ -64,9 +53,7 @@ __all__ = [
     "phi_regularized",
     "proximal_step",
     "quadratic",
-    "resolvent",
     "run_flow",
-    "sgn_select",
     "surface_gradient",
     "tabulated",
 ]

@@ -13,7 +13,7 @@ import sys
 
 from . import experiments, runio
 from .config import load_config
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, at_path
 from .flow import run_flow
 
 
@@ -53,10 +53,7 @@ def _parse_pairs(text):
 def _check_members(params, flag, members):
     """Build each sweep member's energy parameters before any solve; a bad one names ``flag``."""
     for overrides in members:
-        try:
-            params.replace(**overrides)
-        except ConfigError as e:
-            raise ConfigError(f"{flag}: {e}") from None
+        at_path(flag, params.replace, **overrides)
 
 
 def _build_parser():

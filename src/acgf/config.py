@@ -30,7 +30,7 @@ import numpy as np
 
 from .energy import (EnergyParams, ForcingField, NegQuadraticPart, NonePart, SmoothPerturbation,
                      TabulatedPart)
-from .errors import ConfigError
+from .errors import ConfigError, at_path
 from .flow import FlowParams, default_inner_tol
 from .meshes import DiscMesh, IntervalMesh
 from .potentials import indicator, quadratic, tabulated
@@ -113,11 +113,15 @@ class RunConfig:
 
     def build_energy_params(self):
         e = self.energy
-        bulk, bdry = _build(_WELLS, e["bulk_potential"]), _build(_WELLS, e["bdry_potential"])
+        bulk, bdry = (at_path(f"energy.{well}", _build, _WELLS, e[well])
+                      for well in ("bulk_potential", "bdry_potential"))
         pert = e["perturbation"]
-        sides = [pert["bulk"], pert["boundary"]] if "bulk" in pert else [pert]
-        parts = [_build(_PARTS, side, (bulk.lo, bulk.hi)) for side in sides]
-        return EnergyParams(
+        sides = ({f"energy.perturbation.{side}": pert[side] for side in ("bulk", "boundary")}
+                 if "bulk" in pert else {"energy.perturbation": pert})
+        parts = [at_path(path, _build, _PARTS, spec, (bulk.lo, bulk.hi))
+                 for path, spec in sides.items()]
+        return at_path(
+            "energy", EnergyParams,
             kappa=float(e["kappa"]), eps=float(e["eps"]), delta=float(e["delta"]),
             lam=float(e["lambda"]), bulk_potential=bulk, bdry_potential=bdry,
             perturbation=SmoothPerturbation(*parts),
@@ -286,7 +290,7 @@ def config_from_dict(raw):
     try:
         params = cfg.build_energy_params()
     except ConfigError as e:
-        errors.append(f"energy: {e}")
+        errors.append(str(e))
         params = None
     try:
         fp = cfg.build_flow_params()

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 
 from .errors import ConfigError
-from .meshes import PACKED, bulk_gradient, h_norm, surface_gradient
+from .meshes import PACKED, bulk_gradient, surface_gradient
 from .potentials import ScalarConvexPotential
 
 
@@ -217,15 +217,6 @@ class ForcingField:
         off = field if self.offset is None else self.offset + field
         return ForcingField(self.times, self.fields, off)
 
-    def l2h_norm_sq(self, mesh, tau, steps):
-        """sum over steps of tau * |forcing at that step|_H^2."""
-        total = 0.0
-        for n in range(steps):
-            f = self.at_time(n * tau)
-            if f is not None:
-                total += tau * h_norm(mesh, f) ** 2
-        return total
-
 
 # ---------------------------------------------------------------------------
 # assembly
@@ -381,14 +372,6 @@ def hess_phi_vec(mesh, p, u, v):
     out[order] = dsbmv(mesh.bandwidth, 1.0, hessian(mesh, p, u, 0.0), np.asarray(v, float)[order],
                        lower=1)
     return out
-
-
-def euler_lagrange_residual(mesh, p, u, ustar):
-    """Defect |ustar - grad(u)|_H of the pair (u, ustar) from the stationarity graph."""
-    ustar = np.asarray(ustar, dtype=float)
-    if ustar.shape != (mesh.num_nodes,):
-        raise ValueError(f"ustar has shape {ustar.shape}, mesh has {mesh.num_nodes} nodes")
-    return h_norm(mesh, ustar - grad_phi_regularized(mesh, p, u))
 
 
 def gcal(mesh, p, u):

@@ -10,6 +10,14 @@ class ConfigError(Exception):
     """Invalid configuration, arguments, or precondition violation."""
 
 
+def at_path(path, build, *args, **kwargs):
+    """build(*args, **kwargs); a ConfigError it raises is prefixed by the field or flag ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 class SolverError(Exception):
     """Numerical failure while running (NaN objective, bad state)."""
 

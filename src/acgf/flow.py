@@ -56,7 +56,7 @@ assembly that follows.
 
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.cython_blas
@@ -134,8 +134,8 @@ class StepRecord:
     rate_norm: float
     inner_iters: int
     inner_residual: float
-    terms: tuple = field(default=())
-    inner_backtracks: int = 0
+    terms: tuple
+    inner_backtracks: int
 
 
 def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters):
@@ -287,13 +287,3 @@ def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0):
         if snapshot_every > 0 and ((n + 1) % snapshot_every == 0 or n + 1 == steps):
             snapshots.append((n + 1, u.copy()))
     return u, trace, snapshots
-
-
-def resolvent(mesh, p, w, inner_tol=None, inner_max_iters=200):
-    """Solution v of v + grad Phi(v) = w, i.e. the proximal point of Phi at w."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (mesh.num_nodes,):
-        raise ValueError(f"field has shape {w.shape}, mesh has {mesh.num_nodes} nodes")
-    tol = inner_tol if inner_tol is not None else default_inner_tol(mesh)
-    at, _, _, _ = _solve_strongly_convex(mesh, p, 1.0, w, np.zeros_like(w), tol, inner_max_iters)
-    return at.u

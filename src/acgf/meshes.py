@@ -164,8 +164,6 @@ class IntervalMesh(_Mesh):
         self.seg_weights = np.zeros(0)
         self.mass = self.w_bulk.copy()
         self.mass[self.boundary_nodes] += self.w_bdry
-        self.volume = L
-        self.surface = 2.0
 
 
 class DiscMesh(_Mesh):
@@ -184,7 +182,7 @@ class DiscMesh(_Mesh):
             )
         self.bandwidth = ntheta + 2  # what the seam fold of band_order below achieves
         _check_size("mesh.nr, mesh.ntheta", nr * ntheta, self.bandwidth, self.node_bytes)
-        self.R, self.nr, self.ntheta = R, nr, ntheta
+        self.ntheta = ntheta
         dr = R / (nr - 0.5)
         dth = 2.0 * np.pi / ntheta
         radii = (np.arange(nr) + 0.5) * dr  # outer ring lands on R
@@ -226,8 +224,6 @@ class DiscMesh(_Mesh):
 
         self.mass = self.w_bulk.copy()
         self.mass[self.boundary_nodes] += self.w_bdry
-        self.volume = np.pi * R * R
-        self.surface = 2.0 * np.pi * R
 
 
 def _affine_fit_ops(coords, cell_nodes):

@@ -1,4 +1,4 @@
-"""Smoothed Euclidean norm and the set-valued sign selection.
+"""Smoothed Euclidean norm.
 
 The smoothing family is f_delta(w) = sqrt(|w|^2 + delta^2) - delta, a C^infty
 convex regularization of |.| with f_delta(0) = 0, gradient norm strictly
@@ -52,15 +52,3 @@ class SmoothedNorm:
         sym = 0.5 * (w[..., :, None] * omega[..., None, :] + omega[..., :, None] * w[..., None, :])
         return (np.eye(self.dim) - sym / s[..., None, None]) / s[..., None, None]
 
-
-def sgn_select(omega):
-    """Unit vector w/|w|, with the zero vector selected at w = 0.
-
-    At the origin the underlying set value is the whole closed unit ball;
-    the zero vector is its least-norm element and the limit of the
-    smoothed gradients, which keeps residual checks deterministic.
-    """
-    omega = np.asarray(omega, dtype=float)
-    n = np.sqrt(np.sum(omega * omega, axis=-1))
-    safe = np.where(n > 0.0, n, 1.0)
-    return np.where((n > 0.0)[..., None], omega / safe[..., None], 0.0)

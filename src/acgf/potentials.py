@@ -17,21 +17,16 @@ Every kind has a closed-form prox and an exact a.e. derivative of its
 Yosida slope. ``moreau`` returns the envelope, the Yosida slope and its
 derivative together from one prox, which is what the energy reads per
 side of the field; ``envelope``, ``yosida`` and ``yosida_derivative`` each
-take one part of it. For a tabulated well with breakpoints t_i and segment
+take one part of it, and ``minimal_section`` is the least-norm
+subgradient. For a tabulated well with breakpoints t_i and segment
 slopes s_i the prox is itself piecewise linear in r (Parikh & Boyd,
 *Proximal Algorithms*, 2014, sec. 6): it rests on t_i for r in
 [t_i + lam*s_{i-1}, t_i + lam*s_i] and is r - lam*s_i in between.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
-
-# Sampling box used when a potential domain is unbounded: compatibility
-# margins are then probed on the interior of [-10, 10].
-_UNBOUNDED_SAMPLE_RADIUS = 10.0
 
 
 def _as_array(r):
@@ -152,8 +147,8 @@ class _Indicator(ScalarConvexPotential):
 
     def minimal_section(self, r):
         # Shipped convention: 0 on the interior, +-inf at the endpoints,
-        # undefined (nan) outside. Compatibility checks sample the
-        # interior only, where this is the exact least-norm selection.
+        # undefined (nan) outside. The Mosco probe samples the interior
+        # only, where this is the exact least-norm selection.
         arr, scalar = _as_array(r)
         out = np.zeros_like(arr)
         out = np.where(arr == self.lo, -np.inf, out)
@@ -283,50 +278,3 @@ def tabulated(points):
     """Convex piecewise-linear potential through the given (t, B) pairs."""
     return _Tabulated(points)
 
-
-@dataclass(frozen=True)
-class CompatibilityConstants:
-    """Constants of the two-sided slope comparison between bulk and boundary wells."""
-
-    a0: float
-    a1: float
-    b0: float = 0.0
-    b1: float = 0.0
-
-    def __post_init__(self):
-        if not (self.a0 > 0.0 and self.a1 > 0.0):
-            raise ConfigError("a0, a1 must be positive")
-        if self.b0 < 0.0 or self.b1 < 0.0:
-            raise ConfigError("b0, b1 must be nonnegative")
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    holds: bool
-    worst_margin: float
-
-
-def check_compatibility(pbulk, pbdry, consts, samples=1001):
-    """Probe a0*|s_bdry| - b0 <= |s_bulk| <= a1*|s_bdry| + b1 on the domain interior.
-
-    Both potentials must share the same domain interval. Minimal sections
-    are evaluated exactly at ``samples`` interior points (clamped to
-    [-10, 10] when the domain is unbounded) and the tightest margin of
-    the two inequalities is reported; a negative worst margin refutes the
-    pair for the given constants.
-    """
-    if samples < 1:
-        raise ConfigError("samples must be positive")
-    if not pbulk.same_domain(pbdry):
-        raise ConfigError(
-            f"potential domains differ: [{pbulk.lo}, {pbulk.hi}] vs [{pbdry.lo}, {pbdry.hi}]"
-        )
-    lo = max(pbulk.lo, -_UNBOUNDED_SAMPLE_RADIUS)
-    hi = min(pbulk.hi, _UNBOUNDED_SAMPLE_RADIUS)
-    ts = lo + (hi - lo) * (np.arange(1, samples + 1) / (samples + 1.0))
-    sb = np.abs(np.asarray(pbulk.minimal_section(ts), dtype=float))
-    sg = np.abs(np.asarray(pbdry.minimal_section(ts), dtype=float))
-    margin_lo = sb - (consts.a0 * sg - consts.b0)
-    margin_hi = (consts.a1 * sg + consts.b1) - sb
-    worst = float(np.min(np.minimum(margin_lo, margin_hi)))
-    return CompatibilityReport(holds=worst >= -1e-12, worst_margin=worst)

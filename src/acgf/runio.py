@@ -45,10 +45,9 @@ def atomic_write_text(path, text):
 def trace_to_csv(trace):
     lines = [TRACE_HEADER]
     for rec in trace:
-        terms = rec.terms if rec.terms else (np.nan,) * 6
         row = [str(rec.step), fmt(rec.time), fmt(rec.phi_reg), fmt(rec.free_energy),
                fmt(rec.rate_norm), str(rec.inner_iters), fmt(rec.inner_residual)]
-        row.extend(fmt(t) for t in terms)
+        row.extend(fmt(t) for t in rec.terms)
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

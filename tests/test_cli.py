@@ -123,6 +123,24 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("path,energy", [
+        ("energy.bulk_potential", {"bulk_potential": {"lo": 1.0, "hi": -1.0}}),
+        ("energy.bdry_potential", {"bdry_potential": {"lo": 1.0, "hi": -1.0}}),
+        ("energy.bdry_potential", {"bdry_potential": {"kind": "tabulated", "points": [[0, 0]]}}),
+        ("energy.perturbation", {"perturbation": {"kind": "tabulated",
+                                                  "points": [[0, 0], [0, 1]]}}),
+        ("energy.perturbation.bulk", {"perturbation": {"bulk": {"kind": "tabulated",
+                                                                "points": [[0, 0]]}}}),
+        ("energy.perturbation.boundary", {"perturbation": {"boundary": {"kind": "tabulated",
+                                                                        "points": [[0, 0]]}}}),
+    ])
+    def test_bad_well_or_perturbation_part_named_by_its_path(self, tmp_path, capsys, path,
+                                                             energy):
+        cfg = write_cfg(tmp_path, dict(BASE, energy={**BASE["energy"], **energy}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {path}: " in err and "energy: energy" not in err
+
     @pytest.mark.parametrize("flow,ratio", [({"tau": 0.05, "T": 1e300}, "2e+301"),
                                             ({"tau": 1e-10, "T": 1e300}, "inf")])
     def test_step_count_above_the_ceiling_rejected(self, tmp_path, capsys, flow, ratio):

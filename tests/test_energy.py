@@ -1,4 +1,4 @@
-"""Energy assembly, gradients, the stationarity residual, and forcing."""
+"""Energy assembly, gradients, perturbations, and forcing."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from acgf.energy import (
     ForcingField,
     SmoothPerturbation,
     energy_terms,
-    euler_lagrange_residual,
     free_energy,
     _grad_partial,
     gcal,
@@ -313,31 +312,6 @@ class TestEvaluation:
             assert not np.isfinite(phi_regularized(mesh, p, at))
 
 
-class TestResidual:
-    def test_gradient_pair_has_zero_defect(self):
-        mesh = IntervalMesh(1.0, 8)
-        p = make_params(delta=0.5, lam=0.5)
-        rng = np.random.default_rng(41)
-        u = rng.uniform(-0.9, 0.9, mesh.num_nodes)
-        assert euler_lagrange_residual(mesh, p, u, grad_phi_regularized(mesh, p, u)) == 0.0
-
-    def test_interior_constant_with_zero_supply(self):
-        mesh = IntervalMesh(1.0, 8)
-        p = make_params(delta=0.5, lam=0.5)
-        u = np.full(mesh.num_nodes, 0.2)
-        assert euler_lagrange_residual(mesh, p, u, np.zeros(mesh.num_nodes)) <= 1e-13
-
-    def test_unit_perturbation_contributes_its_weighted_norm(self):
-        mesh = IntervalMesh(1.0, 8)
-        p = make_params(delta=0.5, lam=0.5)
-        rng = np.random.default_rng(43)
-        u = rng.uniform(-0.9, 0.9, mesh.num_nodes)
-        ustar = grad_phi_regularized(mesh, p, u)
-        ustar[3] += 1.0
-        expected = np.sqrt(mesh.mass[3])
-        assert euler_lagrange_residual(mesh, p, u, ustar) == pytest.approx(expected, rel=1e-12)
-
-
 class TestPerturbation:
     def test_neg_quadratic_values_and_clamping(self):
         pert = SmoothPerturbation.neg_quadratic(-1.0, 1.0)
@@ -389,7 +363,6 @@ class TestForcing:
     def test_zero_forcing(self):
         f = ForcingField.zero()
         assert f.at_time(0.0) is None
-        assert f.l2h_norm_sq(IntervalMesh(1.0, 4), 0.1, 10) == 0.0
 
     def test_constant_pair_layout(self):
         mesh = IntervalMesh(1.0, 4)
@@ -411,12 +384,6 @@ class TestForcing:
         assert np.array_equal(f.at_time(0.2), off)
         g = ForcingField.constant(mesh, 1.0, 1.0).with_offset(off)
         assert np.array_equal(g.at_time(0.2), 1.0 + off)
-
-    def test_l2_accumulation(self):
-        mesh = IntervalMesh(1.0, 4)
-        f = ForcingField.constant(mesh, 1.0, 1.0)
-        # |ones|_H^2 = 3 on the unit interval, times tau * steps
-        assert f.l2h_norm_sq(mesh, 0.1, 10) == pytest.approx(3.0, rel=1e-12)
 
     def test_validation(self):
         mesh = IntervalMesh(1.0, 4)

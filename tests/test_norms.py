@@ -1,4 +1,4 @@
-"""Tests for the smoothed Euclidean norm family and the sign selection."""
+"""Tests for the smoothed Euclidean norm family."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgf.errors import ConfigError
-from acgf.norms import SmoothedNorm, sgn_select
+from acgf.norms import SmoothedNorm
 
 
 def test_zero_at_origin():
@@ -126,16 +126,6 @@ class TestPrimalDualHessian:
         assert h.shape == (20, 2, 2)
         for k in range(20):
             assert np.array_equal(h[k], f.hess(omega[k], dual[k]))
-
-
-def test_sgn_select():
-    assert np.allclose(sgn_select(np.array([3.0, 4.0])), [0.6, 0.8])
-    assert np.all(sgn_select(np.zeros(2)) == 0.0)
-    assert np.allclose(sgn_select(np.array([-2.0, 0.0])), [-1.0, 0.0])
-    # vectorized over a batch, including a zero row
-    batch = np.array([[3.0, 4.0], [0.0, 0.0]])
-    out = sgn_select(batch)
-    assert np.allclose(out[0], [0.6, 0.8]) and np.all(out[1] == 0.0)
 
 
 def test_parameter_validation():

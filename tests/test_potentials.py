@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from acgf.config import config_from_dict
 from acgf.errors import ConfigError
-from acgf.potentials import (
-    CompatibilityConstants,
-    check_compatibility,
-    indicator,
-    quadratic,
-    tabulated,
-)
+from acgf.potentials import indicator, quadratic, tabulated
 
 
 def grid_prox_oracle(pot, lam, r, lo=-10.0, hi=10.0):
@@ -303,43 +297,6 @@ def test_prox_is_nonexpansive():
         p1 = np.asarray(pot.prox(0.37, r1))
         p2 = np.asarray(pot.prox(0.37, r2))
         assert np.all(np.abs(p1 - p2) <= np.abs(r1 - r2) + 1e-9)
-
-
-class TestCompatibility:
-    def test_identical_indicators_hold(self):
-        rep = check_compatibility(indicator(-1, 1), indicator(-1, 1),
-                                  CompatibilityConstants(1.0, 1.0, 0.0, 0.0))
-        assert rep.holds
-
-    def test_identical_quadratics_hold(self):
-        rep = check_compatibility(quadratic(1.0), quadratic(1.0),
-                                  CompatibilityConstants(1.0, 1.0, 0.0, 0.0))
-        assert rep.holds
-
-    def test_scaled_quadratics_tight_margin(self):
-        # |slope_bulk| = 2|t| vs a1 |slope_bdry| = 2|t|: margin identically 0
-        rep = check_compatibility(quadratic(2.0), quadratic(1.0),
-                                  CompatibilityConstants(1.0, 2.0, 0.0, 0.0),
-                                  samples=501)
-        assert rep.holds
-        assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
-        # dense-sampling oracle over the same box
-        ts = np.linspace(-10, 10, 20001)[1:-1]
-        lo_margin = 2 * np.abs(ts) - np.abs(ts)
-        hi_margin = 2 * np.abs(ts) - 2 * np.abs(ts)
-        assert min(lo_margin.min(), hi_margin.min()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_domain_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            check_compatibility(indicator(-1, 1), indicator(-2, 2),
-                                CompatibilityConstants(1.0, 1.0))
-
-    def test_violated_pair_reported(self):
-        # bulk slope 3|t| exceeds a1 |t| + 0 somewhere
-        rep = check_compatibility(quadratic(3.0), quadratic(1.0),
-                                  CompatibilityConstants(1.0, 2.0, 0.0, 0.0))
-        assert not rep.holds
-        assert rep.worst_margin < 0
 
 
 class TestValidation:
