@@ -120,12 +120,14 @@ class RunConfig:
                  if "bulk" in pert else {"energy.perturbation": pert})
         parts = [at_path(path, _build, _PARTS, spec, (bulk.lo, bulk.hi))
                  for path, spec in sides.items()]
-        return at_path(
-            "energy", EnergyParams,
-            kappa=float(e["kappa"]), eps=float(e["eps"]), delta=float(e["delta"]),
-            lam=float(e["lambda"]), bulk_potential=bulk, bdry_potential=bdry,
-            perturbation=SmoothPerturbation(*parts),
-        )
+        try:
+            return EnergyParams(
+                kappa=float(e["kappa"]), eps=float(e["eps"]), delta=float(e["delta"]),
+                lam=float(e["lambda"]), bulk_potential=bulk, bdry_potential=bdry,
+                perturbation=SmoothPerturbation(*parts),
+            )
+        except ConfigError as err:  # its message starts with the field's name
+            raise ConfigError(f"energy.{err}") from None
 
     def build_flow_params(self):
         f = self.flow

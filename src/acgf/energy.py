@@ -155,6 +155,7 @@ class EnergyParams:
     perturbation: SmoothPerturbation
 
     def __post_init__(self):
+        # every message starts with the field's name, which the config prefixes by its section
         # the energy weighs gradients by kappa**2 and eps**2, which must not overflow
         if not (math.isfinite(self.kappa * self.kappa) and self.kappa > 0.0):
             raise ConfigError(f"kappa must be positive with a finite square, got {self.kappa}")
@@ -165,7 +166,7 @@ class EnergyParams:
         if not (0.0 < self.lam <= 1.0):
             raise ConfigError(f"lambda must lie in (0, 1], got {self.lam}")
         if not self.bulk_potential.same_domain(self.bdry_potential):
-            raise ConfigError("bulk and boundary potentials must share one domain interval")
+            raise ConfigError("bdry_potential must share the domain interval of bulk_potential")
 
     def replace(self, **kw):
         from dataclasses import replace as _replace

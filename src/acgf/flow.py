@@ -28,17 +28,21 @@ w in place of grad v / s (s = sqrt(|grad v|^2 + delta^2)):
 which is symmetric positive definite while |w| < 1. The exact block
 (w = grad v / s) has curvature only delta^2 / s^3 along grad v, so where
 |grad v| >> delta the exact Newton step overshoots and the line search
-has to damp it; the primal-dual block avoids that. w starts at zero in every
-solve (so the first step is the lagged-diffusivity one) and follows the
-Newton step of w s = grad v linearized along d,
+has to damp it; the primal-dual block avoids that. w follows the Newton
+step of w s = grad v linearized along d,
 
     dw = (grad d - w (grad v . grad d) / s) / s + grad v / s - w,
 
-with the step length beta = min(1, 0.99 b*), where b* is the largest b
-keeping |w + b dw| <= 1 in every cell. Only the matrix changes: the
-objective, the line search and the stopping test are those of J itself,
-and optimality is certified by the gradient norm in the product inner
-product, which does not depend on w.
+each cell c with its own step length beta_c = min(1, f b*_c), where b*_c is
+the largest b keeping |w_c + b dw_c| <= 1 and f = DUAL_FRACTION, so a cell
+near the unit-ball boundary holds back only its own flux. ``run_flow``
+carries w from each step to the next, since the previous step ended at a
+nearly converged flux; w starts at zero only at a run's first step and in a
+``proximal_step`` called without ``dual``, where the first Newton matrix
+is the lagged-diffusivity one. Only the matrix changes: the objective, the
+line search and the stopping test are those of J itself, and optimality is
+certified by the gradient norm in the product inner product, which does not
+depend on w.
 
 Each trial point of the line search is evaluated once, as an
 ``energy.Evaluation``: its cell gradients, s and one prox per well side.
@@ -86,6 +90,7 @@ _scipy_blas_on_one_thread()
 
 
 MAX_STEPS = 2**20  # the most time steps T / tau may ask for
+DUAL_FRACTION = 0.98  # share of the way to the unit-ball boundary a dual step may go
 
 
 def default_inner_tol(mesh):
@@ -138,9 +143,10 @@ class StepRecord:
     inner_backtracks: int
 
 
-def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters):
+def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters, w=None):
     """Minimize |v - anchor|_H^2/(2 tau) + Phi(v) + (linear, v)_H, starting at anchor.
 
+    The dual flux starts at ``w`` (zero when None) and is updated in place.
     Returns (the minimizer's ``energy.Evaluation``, iterations, certified
     gradient norm, line-search halvings). Raises on NaN objectives, a
     non-finite Newton direction or an exhausted budget.
@@ -153,7 +159,8 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters):
         return (0.5 / tau * float(np.dot(m, dv * dv)) + en.phi_regularized(mesh, p, at)
                 + float(np.dot(ml, at.u)))
 
-    w = np.zeros((mesh.cell_ops.shape[0], mesh.dim))  # dual flux, |w| < 1 per cell
+    if w is None:
+        w = _zero_dual(mesh)  # dual flux, |w| < 1 per cell
     backtracks = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught just below
         at = en.Evaluation(mesh, p, anchor.copy())  # the iterate v and all the energy reads of it
@@ -207,8 +214,16 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters):
     )
 
 
+def _zero_dual(mesh):
+    return np.zeros((len(mesh.cell_ops), mesh.dim))
+
+
 def _dual_step(w, dw):
-    """min(1, 0.99 b*), b* the largest b keeping |w + b dw| <= 1 in every cell."""
+    """Per cell, min(1, DUAL_FRACTION b*), b* the largest b keeping |w + b dw| <= 1 there.
+
+    The lengths come as an (ncells, 1) column, ready to scale dw; a cell with
+    dw = 0 gets 1.
+    """
     a = np.einsum("nd,nd->n", w, dw)
     c = np.einsum("nd,nd->n", dw, dw)
     r = 1.0 - np.einsum("nd,nd->n", w, w)
@@ -216,17 +231,27 @@ def _dual_step(w, dw):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # positive root of c b^2 + 2 a b - r, in the form free of cancellation
         roots = np.where(a >= 0.0, r / (a + q), (q - a) / c)
-    return min(1.0, 0.99 * float(roots.min()))
+    return np.minimum(1.0, DUAL_FRACTION * roots)[:, None]
 
 
-def proximal_step(mesh, p, fp, uprev, theta_n=None):
+def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None):
     """One implicit-Euler step from uprev under the forcing value theta_n.
+
+    ``dual``, an (ncells, dim) array with |w| < 1 in every cell, is the flux
+    the inner solve starts from; the solve leaves its final flux there, in
+    place. Without it the flux starts at zero.
 
     Returns (new state, StepRecord without step/time filled in).
     """
     uprev = np.asarray(uprev, dtype=float)
     if uprev.shape != (mesh.num_nodes,):
         raise ValueError(f"state has shape {uprev.shape}, mesh has {mesh.num_nodes} nodes")
+    if dual is not None:
+        if dual.shape != _zero_dual(mesh).shape:
+            raise ValueError(f"dual flux has shape {dual.shape}, mesh has "
+                             f"{len(mesh.cell_ops)} cells of dimension {mesh.dim}")
+        if not np.all(np.einsum("nd,nd->n", dual, dual) < 1.0):
+            raise ValueError("dual flux must lie inside the unit ball in every cell")
     if not np.all(np.isfinite(uprev)):
         raise SolverError("previous state contains non-finite values")
     tol = fp.inner_tol if fp.inner_tol is not None else default_inner_tol(mesh)
@@ -234,7 +259,7 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None):
     if theta_n is not None:
         linear = linear - theta_n
     at, iters, residual, backtracks = _solve_strongly_convex(
-        mesh, p, fp.tau, uprev, linear, tol, fp.inner_max_iters)
+        mesh, p, fp.tau, uprev, linear, tol, fp.inner_max_iters, dual)
     v = at.u
     terms = en.energy_terms(mesh, p, at)
     phi = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
@@ -255,6 +280,9 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None):
 def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0):
     """March ceil(T/tau) proximal steps; returns (final, trace, snapshots).
 
+    The dual flux starts at zero and each step starts from the flux the
+    previous one ended with.
+
     The trace holds one record per completed step. Snapshots are
     (step, state copy) pairs taken at step 0, every ``snapshot_every``-th
     step, and the final step (cadence 0 disables them). The initial state
@@ -269,12 +297,13 @@ def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0):
     steps = fp.num_steps
     trace = []
     snapshots = []
+    dual = _zero_dual(mesh)
     if snapshot_every > 0:
         snapshots.append((0, u.copy()))
     for n in range(steps):
         theta = forcing.at_time(n * fp.tau)
         try:
-            u, rec = proximal_step(mesh, p, fp, u, theta)
+            u, rec = proximal_step(mesh, p, fp, u, theta, dual=dual)
         except NonconvergenceError as e:
             raise NonconvergenceError(
                 f"step {n + 1}: {e}", residual=e.residual, step=n + 1

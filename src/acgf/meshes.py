@@ -68,6 +68,14 @@ def _product_index(dim, k):
 _PRODUCT_INDEX = {(dim, k): _product_index(dim, k) for dim, k in ((1, 2), (2, 4))}
 
 
+def _check_fields(*checks):
+    """One ConfigError naming every (field, value, ok, bound) whose check failed."""
+    failed = [f"mesh.{name} must be {bound}, got {value}" for name, value, ok, bound in checks
+              if not ok]
+    if failed:
+        raise ConfigError("; ".join(failed))
+
+
 def _check_size(fields, nodes, bandwidth, node_bytes):
     entries = nodes * (bandwidth + 1)
     if entries > MAX_BAND_ENTRIES:
@@ -139,8 +147,7 @@ class IntervalMesh(_Mesh):
     def __init__(self, L, n):
         L = float(L)
         n = int(n)
-        if not (L > 0.0 and n >= 2):
-            raise ConfigError(f"interval mesh needs L > 0 and n >= 2, got L={L}, n={n}")
+        _check_fields(("L", L, L > 0.0, "positive"), ("n", n, n >= 2, "at least 2"))
         self.bandwidth = 1
         _check_size("mesh.n", n + 1, self.bandwidth, self.node_bytes)
         self.L = L
@@ -176,10 +183,8 @@ class DiscMesh(_Mesh):
     def __init__(self, R, nr, ntheta):
         R = float(R)
         nr, ntheta = int(nr), int(ntheta)
-        if not (R > 0.0 and nr >= 2 and ntheta >= 3):
-            raise ConfigError(
-                f"disc mesh needs R > 0, nr >= 2, ntheta >= 3, got R={R}, nr={nr}, ntheta={ntheta}"
-            )
+        _check_fields(("R", R, R > 0.0, "positive"), ("nr", nr, nr >= 2, "at least 2"),
+                      ("ntheta", ntheta, ntheta >= 3, "at least 3"))
         self.bandwidth = ntheta + 2  # what the seam fold of band_order below achieves
         _check_size("mesh.nr, mesh.ntheta", nr * ntheta, self.bandwidth, self.node_bytes)
         self.ntheta = ntheta

@@ -63,10 +63,6 @@ def _snapshot_csv(prefixes, values):
     return "\n".join([SNAPSHOT_HEADER] + rows) + "\n"
 
 
-def snapshot_to_csv(mesh, values):
-    return _snapshot_csv(_row_prefixes(mesh), values)
-
-
 def read_snapshot_values(path, expected_nodes):
     """Read the value column of a snapshot CSV, ordered by node id.
 

@@ -8,8 +8,13 @@ deleting such a name has to fail here first.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import acgf.energy
+import acgf.flow
 import acgf.meshes
+from acgf.energy import EnergyParams, SmoothPerturbation
+from acgf.potentials import indicator
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -28,3 +33,34 @@ def test_every_traced_metric_finds_the_names_it_hooks():
 
 def test_energy_reaches_the_cell_gradients_through_its_own_module_attribute():
     assert vars(acgf.energy)["bulk_gradient"] is acgf.meshes.bulk_gradient
+
+
+def test_run_flow_takes_each_step_through_the_hooked_proximal_step(monkeypatch):
+    # the benchmark times a step as the span of acgf.flow.proximal_step and the
+    # energy values inside it as acgf.energy.phi_regularized
+    inside, steps, values_in_step = [], [], []
+    step, phi = acgf.flow.proximal_step, acgf.energy.phi_regularized
+
+    def counted_step(*args, **kwargs):
+        steps.append(len(values_in_step))
+        inside.append(True)
+        try:
+            return step(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_phi(*args, **kwargs):
+        if inside:
+            values_in_step.append(len(steps))
+        return phi(*args, **kwargs)
+
+    monkeypatch.setattr(acgf.flow, "proximal_step", counted_step)
+    monkeypatch.setattr(acgf.energy, "phi_regularized", counted_phi)
+    mesh = acgf.meshes.DiscMesh(1.0, 4, 8)
+    wells = indicator(-1.0, 1.0)
+    p = EnergyParams(kappa=0.2, eps=0.5, delta=0.1, lam=0.1, bulk_potential=wells,
+                     bdry_potential=wells, perturbation=SmoothPerturbation.neg_quadratic(-1, 1))
+    u0 = np.where(mesh.coords[:, 0] < 0.0, 0.9, -0.9)
+    _, trace, _ = acgf.flow.run_flow(mesh, p, acgf.flow.FlowParams(tau=1 / 128, T=3 / 128), u0)
+    assert len(trace) == len(steps) == 3
+    assert set(values_in_step) == {1, 2, 3}  # every step evaluates the energy inside its span

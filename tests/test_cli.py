@@ -141,6 +141,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"configuration error: {path}: " in err and "energy: energy" not in err
 
+    @pytest.mark.parametrize("path,value", [
+        ("energy.kappa", 1e300), ("energy.eps", 1e200), ("energy.delta", 2.0),
+        ("energy.lambda", 0.0), ("mesh.L", -1.0), ("mesh.n", 1), ("mesh.R", 0.0),
+        ("mesh.nr", 1), ("mesh.ntheta", 2),
+    ])
+    def test_out_of_range_field_named_by_its_path(self, tmp_path, capsys, path, value):
+        section, name = path.split(".")
+        base = DISC if name in ("R", "nr", "ntheta") else BASE
+        cfg = write_cfg(tmp_path, dict(base, **{section: {**base[section], name: value}}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {path} must " in err and err.count(path) == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flow,ratio", [({"tau": 0.05, "T": 1e300}, "2e+301"),
                                             ({"tau": 1e-10, "T": 1e300}, "inf")])
     def test_step_count_above_the_ceiling_rejected(self, tmp_path, capsys, flow, ratio):

@@ -93,7 +93,7 @@ def test_initial_file_read_once_and_copied(tmp_path, monkeypatch):
     mesh = IntervalMesh(1.0, 8)
     values = np.linspace(-0.5, 0.5, mesh.num_nodes)
     path = tmp_path / "snap.csv"
-    path.write_text(runio.snapshot_to_csv(mesh, values))
+    path.write_text(runio._snapshot_csv(runio._row_prefixes(mesh), values))
     reads = []
     original = runio.read_snapshot_values
     monkeypatch.setattr(runio, "read_snapshot_values",

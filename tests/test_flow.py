@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,17 @@ def resolvent(mesh, p, w, tol=None):
     """The proximal point v + grad Phi(v) = w: one unforced step of tau = 1 from w."""
     assert p.perturbation.lipschitz == 0  # no perturbation, so the step's linear term is 0
     return proximal_step(mesh, p, FlowParams(tau=1.0, T=1.0, inner_tol=tol), w)[0]
+
+
+def benchmark_params():
+    """The energy of the disc benchmarks: indicator wells, eps = 0.5, delta = lambda = 0.1."""
+    return make_params(eps=0.5, perturbation=SmoothPerturbation.neg_quadratic(-1, 1))
+
+
+def noisy_two_phase(m, seed):
+    """+-0.9 split at x = 0 plus seeded uniform +-0.05 noise, clipped to [-1, 1]."""
+    noise = np.random.default_rng(seed).uniform(-0.05, 0.05, m.num_nodes)
+    return np.clip(np.where(m.coords[:, 0] < 0.0, 0.9, -0.9) + noise, -1.0, 1.0)
 
 
 class TestProximalStep:
@@ -99,6 +111,31 @@ class TestProximalStep:
         _, rec = proximal_step(m, p, FlowParams(tau=1 / 128, T=1.0), u)
         assert rec.inner_iters <= 16
         assert rec.inner_backtracks == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_per_cell_dual_steps_cut_the_newton_iterates(self, seed):
+        # one global dual step length, set by the cell nearest the unit-ball
+        # boundary, took 10-11 iterates here
+        m = DiscMesh(1.0, 32, 64)
+        _, rec = proximal_step(m, benchmark_params(), FlowParams(tau=1 / 128, T=1.0),
+                               noisy_two_phase(m, seed))
+        assert rec.inner_iters <= 9
+        assert rec.inner_backtracks == 0
+
+    def test_dual_flux_is_carried_in_place_inside_the_unit_ball(self):
+        m = DiscMesh(1.0, 8, 16)
+        dual = np.zeros((len(m.cell_ops), m.dim))
+        proximal_step(m, benchmark_params(), FlowParams(tau=1 / 128, T=1.0), noisy_two_phase(m, 0),
+                      dual=dual)
+        norms = np.linalg.norm(dual, axis=1)
+        assert norms.max() > 0.0 and np.all(norms < 1.0)
+
+    def test_dual_flux_of_another_shape_or_outside_the_unit_ball_is_refused(self):
+        m = DiscMesh(1.0, 8, 16)
+        for dual in (np.zeros((3, 2)), np.full((len(m.cell_ops), m.dim), 0.8)):
+            with pytest.raises(ValueError, match="dual flux"):
+                proximal_step(m, benchmark_params(), FlowParams(tau=1 / 128, T=1.0),
+                              np.zeros(m.num_nodes), dual=dual)
 
     @pytest.mark.parametrize("wells", [IND, quadratic(1.0), tabulated([[-1, 0.5], [0, 0], [1, 0.5]])],
                              ids=["indicator", "quadratic", "tabulated"])
@@ -171,6 +208,18 @@ class TestProximalStep:
 
 
 class TestRunFlow:
+    def test_carried_dual_flux_saves_iterates_and_keeps_the_result(self):
+        m = DiscMesh(1.0, 16, 32)
+        p, fp = benchmark_params(), FlowParams(tau=1 / 128, T=16 / 128)
+        u = u0 = noisy_two_phase(m, 0)
+        restarted = 0
+        for _ in range(fp.num_steps):  # each step's flux starts at zero
+            u, rec = proximal_step(m, p, fp, u)
+            restarted += rec.inner_iters
+        uf, trace, _ = run_flow(m, p, fp, u0)
+        assert sum(r.inner_iters for r in trace) < restarted
+        assert h_norm(m, uf) == pytest.approx(h_norm(m, u), rel=1e-9)
+
     def test_indefinite_newton_matrix_is_a_solver_error(self, monkeypatch):
         hessian = acgf.energy.hessian
         monkeypatch.setattr(acgf.energy, "hessian", lambda *a: -hessian(*a))
@@ -394,13 +443,14 @@ def test_flow_params_validation():
 
 @st.composite
 def dual_and_step(draw):
-    """Per-cell flux w with |w| <= 0.999 and an arbitrary update dw."""
+    """Per-cell flux w with |w| <= 0.999 and an arbitrary update dw, zero in some cells."""
     n = draw(st.integers(1, 6))
     dim = draw(st.sampled_from([1, 2]))
     w = draw(arrays(float, (n, dim), elements=st.floats(-1.0, 1.0)))
     norms = np.linalg.norm(w, axis=1, keepdims=True)
     w = np.where(norms > 0.999, 0.999 * w / np.maximum(norms, 1e-300), w)
     dw = draw(arrays(float, (n, dim), elements=st.floats(-5.0, 5.0)))
+    dw[draw(arrays(bool, n))] = 0.0
     return w, dw
 
 
@@ -408,14 +458,20 @@ def dual_and_step(draw):
 @given(dual_and_step())
 def test_dual_step_stops_short_of_the_unit_ball_boundary(case):
     w, dw = case
-    beta = _dual_step(w, dw)
-    assert 0.0 < beta <= 1.0
-    # by convexity, 0.99 of the way to the boundary leaves 1% of each cell's slack
+    f = acgf.flow.DUAL_FRACTION
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = _dual_step(w, dw)
+    assert beta.shape == (len(w), 1)
+    assert np.all((0.0 < beta) & (beta <= 1.0))
+    # by convexity, the fraction f of the way to the boundary leaves 1 - f of each cell's slack
     wn = np.linalg.norm(w, axis=1)
-    assert np.all(np.linalg.norm(w + beta * dw, axis=1) <= 1.0 - 0.01 * (1.0 - wn) + 1e-12)
-    if beta < 1.0:  # the closed-form root puts some cell exactly on the boundary
-        reach = np.linalg.norm(w + beta / 0.99 * dw, axis=1).max()
-        assert reach == pytest.approx(1.0, abs=1e-9)
+    assert np.all(np.linalg.norm(w + beta * dw, axis=1) <= 1.0 - (1.0 - f) * (1.0 - wn) + 1e-12)
+    # the closed-form root puts every cell whose step is cut exactly on the boundary
+    short = beta[:, 0] < 1.0
+    reach = np.linalg.norm(w + beta / f * dw, axis=1)[short]
+    assert np.all(np.abs(reach - 1.0) <= 1e-9)
+    assert np.all(beta[~dw.any(axis=1)] == 1.0)
 
 
 def _openblas_threads(module, symbol):
