@@ -92,10 +92,14 @@ def _integrated(mesh, states_a, states_b, tau, metric):
     return math.sqrt(total)
 
 
-def _run_states(cfg, **overrides):
-    """Run the flow for cfg with energy overrides; returns (mesh, fp, states, trace)."""
+def _run_states(cfg, guide=None, **overrides):
+    """Run the flow for cfg with energy overrides; returns (mesh, fp, states, trace).
+
+    ``guide`` is passed to ``run_flow``: the states of a run to follow.
+    """
     mesh, p, fp, u0, forcing = cfg.build_all()
-    _, trace, snaps = run_flow(mesh, p.replace(**overrides), fp, u0, forcing, snapshot_every=1)
+    _, trace, snaps = run_flow(mesh, p.replace(**overrides), fp, u0, forcing, snapshot_every=1,
+                               guide=guide)
     states = [s for _, s in snaps]
     return mesh, fp, states, trace
 
@@ -119,7 +123,15 @@ def _loglog_rate(xs, ys):
 
 
 def sweep_epsilon(cfg, eps_list, eps0, threads=1):
-    """Rerun the flow along eps_list and compare against the eps0 reference."""
+    """Rerun the flow along eps_list and compare against the eps0 reference.
+
+    The eps0 reference runs first, alone. The members then run, ``threads``
+    of them side by side, each guided by the reference's states (``run_flow``'s
+    ``guide``): since the solution depends continuously on eps, a member's
+    step n starts its Newton solve at u_{n-1} + (ref_n - ref_{n-1}) and needs
+    fewer iterates to converge to its own step. A member at eps0 itself runs
+    unguided, so that it reproduces the reference bit for bit.
+    """
     eps_list = [float(e) for e in eps_list]
     eps0 = float(eps0)
     if not eps_list:
@@ -132,13 +144,15 @@ def sweep_epsilon(cfg, eps_list, eps0, threads=1):
     if cfg.mesh["kind"] != "disc":
         raise ConfigError("the eps sweep needs a disc mesh (eps is inert on an interval)")
 
-    results = _map_ordered(lambda e: _run_states(cfg, eps=e), [eps0] + eps_list, threads)
-    mesh, fp, ref_states, ref_trace = results[0]
+    mesh, fp, ref_states, ref_trace = _run_states(cfg, eps=eps0)
+    results = _map_ordered(
+        lambda e: _run_states(cfg, guide=None if e == eps0 else ref_states, eps=e),
+        eps_list, threads)
     report = SweepReport(kind="sweep_epsilon", params=eps_list, ref=eps0,
                          e_h=[], e_v0=[], seed=cfg.seed)
     report.traces[f"eps={eps0:.17g}(ref)"] = ref_trace
     bdry = []
-    for e, (_, _, states, trace) in zip(eps_list, results[1:]):
+    for e, (_, _, states, trace) in zip(eps_list, results):
         report.traces[f"eps={e:.17g}"] = trace
         report.e_h.append(_sup_h_dist(mesh, states, ref_states))
         report.e_v0.append(_integrated(mesh, states, ref_states, fp.tau, v0_distance_sq))

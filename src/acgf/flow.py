@@ -44,6 +44,15 @@ line search and the stopping test are those of J itself, and optimality is
 certified by the gradient norm in the product inner product, which does not
 depend on w.
 
+The anchor u_prev and the first Newton iterate are two things. The anchor
+defines J; the first iterate is only where the search for J's minimizer
+begins, u_prev unless told otherwise. ``proximal_step(..., start=v)`` begins
+at v, and ``run_flow(..., guide=states)`` begins step n at
+u_{n-1} + (states[n] - states[n-1]), adding the step's increment in a
+nearby run, such as an eps sweep's reference. Either way the step converges
+to the minimizer of the same J under the same stopping test; a good start
+only needs fewer iterates to get there.
+
 Each trial point of the line search is evaluated once, as an
 ``energy.Evaluation``: its cell gradients, s and one prox per well side.
 The objective reads it, and once the point is accepted the next iterate's
@@ -143,10 +152,12 @@ class StepRecord:
     inner_backtracks: int
 
 
-def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters, w=None):
-    """Minimize |v - anchor|_H^2/(2 tau) + Phi(v) + (linear, v)_H, starting at anchor.
+def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters, w=None, start=None):
+    """Minimize |v - anchor|_H^2/(2 tau) + Phi(v) + (linear, v)_H, starting at ``start``.
 
-    The dual flux starts at ``w`` (zero when None) and is updated in place.
+    The first iterate is ``start`` (anchor when None); the objective keeps the
+    anchor either way. The dual flux starts at ``w`` (zero when None) and is
+    updated in place.
     Returns (the minimizer's ``energy.Evaluation``, iterations, certified
     gradient norm, line-search halvings). Raises on NaN objectives, a
     non-finite Newton direction or an exhausted budget.
@@ -163,7 +174,8 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters, w=None)
         w = _zero_dual(mesh)  # dual flux, |w| < 1 per cell
     backtracks = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught just below
-        at = en.Evaluation(mesh, p, anchor.copy())  # the iterate v and all the energy reads of it
+        first = anchor if start is None else start
+        at = en.Evaluation(mesh, p, first.copy())  # the iterate v and all the energy reads of it
         fv = value(at)
     if not np.isfinite(fv):
         raise SolverError("non-finite objective at the inner solver start")
@@ -234,12 +246,24 @@ def _dual_step(w, dw):
     return np.minimum(1.0, DUAL_FRACTION * roots)[:, None]
 
 
-def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None):
+def _checked_state(mesh, state, what):
+    """state as a float array of one finite value per node; ValueError otherwise."""
+    state = np.asarray(state, dtype=float)
+    if state.shape != (mesh.num_nodes,):
+        raise ValueError(f"{what} has shape {state.shape}, mesh has {mesh.num_nodes} nodes")
+    if not np.all(np.isfinite(state)):
+        raise ValueError(f"{what} contains non-finite values")
+    return state
+
+
+def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
     """One implicit-Euler step from uprev under the forcing value theta_n.
 
     ``dual``, an (ncells, dim) array with |w| < 1 in every cell, is the flux
     the inner solve starts from; the solve leaves its final flux there, in
-    place. Without it the flux starts at zero.
+    place. Without it the flux starts at zero. ``start``, one finite value
+    per node, is the inner solve's first iterate in place of uprev; the step
+    still minimizes J anchored at uprev.
 
     Returns (new state, StepRecord without step/time filled in).
     """
@@ -252,6 +276,8 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None):
                              f"{len(mesh.cell_ops)} cells of dimension {mesh.dim}")
         if not np.all(np.einsum("nd,nd->n", dual, dual) < 1.0):
             raise ValueError("dual flux must lie inside the unit ball in every cell")
+    if start is not None:
+        start = _checked_state(mesh, start, "start iterate")
     if not np.all(np.isfinite(uprev)):
         raise SolverError("previous state contains non-finite values")
     tol = fp.inner_tol if fp.inner_tol is not None else default_inner_tol(mesh)
@@ -259,7 +285,7 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None):
     if theta_n is not None:
         linear = linear - theta_n
     at, iters, residual, backtracks = _solve_strongly_convex(
-        mesh, p, fp.tau, uprev, linear, tol, fp.inner_max_iters, dual)
+        mesh, p, fp.tau, uprev, linear, tol, fp.inner_max_iters, dual, start)
     v = at.u
     terms = en.energy_terms(mesh, p, at)
     phi = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
@@ -277,11 +303,17 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None):
     return v, rec
 
 
-def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0):
+def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0, guide=None):
     """March ceil(T/tau) proximal steps; returns (final, trace, snapshots).
 
     The dual flux starts at zero and each step starts from the flux the
     previous one ended with.
+
+    ``guide``, a sequence of num_steps + 1 states (another run's state at
+    every step, say), moves each step's first iterate: step n starts its
+    inner solve at u_{n-1} + (guide[n] - guide[n-1]) instead of at u_{n-1}.
+    The anchor, the objective and the stopping test stay those of the step,
+    so a guide changes the iterates a step takes, not what it solves for.
 
     The trace holds one record per completed step. Snapshots are
     (step, state copy) pairs taken at step 0, every ``snapshot_every``-th
@@ -295,6 +327,12 @@ def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0):
     if forcing is None:
         forcing = en.ForcingField.zero()
     steps = fp.num_steps
+    if guide is not None:
+        guide = list(guide)
+        if len(guide) != steps + 1:
+            raise ValueError(f"guide holds {len(guide)} states, the run takes "
+                             f"num_steps + 1 = {steps + 1}")
+        guide = [_checked_state(mesh, g, "guide state") for g in guide]
     trace = []
     snapshots = []
     dual = _zero_dual(mesh)
@@ -302,8 +340,9 @@ def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0):
         snapshots.append((0, u.copy()))
     for n in range(steps):
         theta = forcing.at_time(n * fp.tau)
+        start = None if guide is None else u + (guide[n + 1] - guide[n])
         try:
-            u, rec = proximal_step(mesh, p, fp, u, theta, dual=dual)
+            u, rec = proximal_step(mesh, p, fp, u, theta, dual=dual, start=start)
         except NonconvergenceError as e:
             raise NonconvergenceError(
                 f"step {n + 1}: {e}", residual=e.residual, step=n + 1

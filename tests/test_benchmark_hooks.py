@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 
 import acgf.energy
+import acgf.experiments
 import acgf.flow
 import acgf.meshes
+from acgf.config import config_from_dict
 from acgf.energy import EnergyParams, SmoothPerturbation
 from acgf.potentials import indicator
 
@@ -64,3 +66,27 @@ def test_run_flow_takes_each_step_through_the_hooked_proximal_step(monkeypatch):
     _, trace, _ = acgf.flow.run_flow(mesh, p, acgf.flow.FlowParams(tau=1 / 128, T=3 / 128), u0)
     assert len(trace) == len(steps) == 3
     assert set(values_in_step) == {1, 2, 3}  # every step evaluates the energy inside its span
+
+
+def test_sweep_runs_each_member_through_the_hooked_run_flow(monkeypatch):
+    # the benchmark counts a sweep's members (experiments.members) as the spans of
+    # acgf.experiments.run_flow: the reference and each eps of the list, once each
+    calls = []
+    run_flow = acgf.experiments.run_flow
+
+    def counted_run_flow(*args, **kwargs):
+        calls.append(kwargs.get("guide") is not None)
+        return run_flow(*args, **kwargs)
+
+    monkeypatch.setattr(acgf.experiments, "run_flow", counted_run_flow)
+    cfg = config_from_dict({
+        "mesh": {"kind": "disc", "R": 1.0, "nr": 4, "ntheta": 8},
+        "energy": {"kappa": 0.2, "eps": 0.5, "delta": 0.1, "lambda": 0.1,
+                   "perturbation": {"kind": "neg_quadratic"}},
+        "flow": {"tau": 1 / 128, "T": 2 / 128},
+        "initial": {"kind": "two_phase", "amplitude": 0.9},
+    })
+    eps_list = [0.8, 0.4, 0.2, 0.1]
+    report = acgf.experiments.sweep_epsilon(cfg, eps_list, 0.0)
+    assert len(calls) == len(eps_list) + 1 == len(report.traces)
+    assert calls == [False] + [True] * len(eps_list)  # the reference first, unguided

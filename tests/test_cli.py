@@ -527,10 +527,14 @@ SMALL_JSON = json_values(st.integers(-64, 64) | st.floats(-64.0, 64.0)
                          | st.sampled_from([1e300, -1e300]))
 
 
-def _at_most_two_steps(mesh, p, fp, u0, forcing, snapshot_every=0):
-    """run_flow cut to two steps: a longer T or a smaller tau adds run time, not exit paths."""
+def _at_most_two_steps(mesh, p, fp, u0, forcing, snapshot_every=0, guide=None):
+    """run_flow cut to two steps: a longer T or a smaller tau adds run time, not exit paths.
+
+    A guide comes from a run cut the same way, so it holds the states of two steps too.
+    """
     fp = dataclasses.replace(fp, T=min(fp.T, 2.0 * fp.tau))
-    return acgf.flow.run_flow(mesh, p, fp, u0, forcing, snapshot_every=snapshot_every)
+    return acgf.flow.run_flow(mesh, p, fp, u0, forcing, snapshot_every=snapshot_every,
+                              guide=guide)
 
 
 @settings(max_examples=200, deadline=None)

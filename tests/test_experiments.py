@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import acgf.experiments
 from acgf.config import config_from_dict
 from acgf.errors import ConfigError
 from acgf.experiments import (
@@ -13,6 +14,7 @@ from acgf.experiments import (
     sweep_regularization,
     v0_distance_sq,
 )
+from acgf.flow import run_flow
 from acgf.potentials import indicator, quadratic
 
 
@@ -40,6 +42,29 @@ def interval_cfg(**over):
     }
     base.update(over)
     return config_from_dict(base)
+
+
+BENCHMARK_EPS = [0.8, 0.4, 0.2, 0.1]
+
+
+def benchmark_disc_cfg(steps, **over):
+    """The 512-node disc with the benchmark's energy, from a +-0.9 two-phase start."""
+    return disc_cfg(mesh={"kind": "disc", "R": 1.0, "nr": 16, "ntheta": 32},
+                    energy={"kappa": 0.2, "eps": 0.5, "delta": 0.1, "lambda": 0.1,
+                            "perturbation": {"kind": "neg_quadratic"}},
+                    flow={"tau": 1 / 128, "T": steps / 128}, **over)
+
+
+def unguided_sweep(monkeypatch, cfg):
+    """The eps sweep of BENCHMARK_EPS with every member cold-started, as it ran unguided."""
+    with monkeypatch.context() as mp:
+        mp.setattr(acgf.experiments, "run_flow",
+                   lambda *args, guide=None, **kwargs: run_flow(*args, **kwargs))
+        return sweep_epsilon(cfg, BENCHMARK_EPS, 0.0)
+
+
+def newton_iters(report):
+    return sum(rec.inner_iters for trace in report.traces.values() for rec in trace)
 
 
 class TestSweepEpsilon:
@@ -72,6 +97,25 @@ class TestSweepEpsilon:
         a = sweep_epsilon(disc_cfg(), [0.6, 0.3], 0.0, threads=1)
         b = sweep_epsilon(disc_cfg(), [0.6, 0.3], 0.0, threads=3)
         assert a.e_h == b.e_h and a.e_v0 == b.e_v0
+
+    def test_guided_members_cut_the_newton_iterates_of_a_one_step_sweep(self, monkeypatch):
+        # cold-started members take 45 iterates here; guided ones 26
+        cfg = benchmark_disc_cfg(steps=1)
+        guided = sweep_epsilon(cfg, BENCHMARK_EPS, 0.0)
+        cold = unguided_sweep(monkeypatch, cfg)
+        assert newton_iters(guided) <= 0.8 * newton_iters(cold)
+        assert guided.e_h == pytest.approx(cold.e_h, rel=1e-9)
+        assert guided.e_v0 == pytest.approx(cold.e_v0, rel=1e-9)
+
+    def test_guided_members_take_no_more_iterates_over_forced_steps(self, monkeypatch):
+        # 8 steps under constant forcing 3: 179 cold iterates, 142 guided
+        cfg = benchmark_disc_cfg(steps=8,
+                                 forcing={"kind": "constant", "bulk": 3.0, "boundary": 3.0})
+        guided = sweep_epsilon(cfg, BENCHMARK_EPS, 0.0)
+        cold = unguided_sweep(monkeypatch, cfg)
+        assert newton_iters(guided) <= newton_iters(cold)
+        assert guided.e_h == pytest.approx(cold.e_h, rel=1e-9)
+        assert guided.e_v0 == pytest.approx(cold.e_v0, rel=1e-9)
 
 
 class TestSweepRegularization:

@@ -137,6 +137,32 @@ class TestProximalStep:
                 proximal_step(m, benchmark_params(), FlowParams(tau=1 / 128, T=1.0),
                               np.zeros(m.num_nodes), dual=dual)
 
+    def test_start_iterate_moves_where_the_solve_begins_not_what_it_solves(self):
+        m = DiscMesh(1.0, 8, 16)
+        p, fp = benchmark_params(), FlowParams(tau=1 / 128, T=1.0)
+        u = noisy_two_phase(m, 0)
+        v, _ = proximal_step(m, p, fp, u)
+        again, at_v = proximal_step(m, p, fp, u, start=v)
+        assert at_v.inner_iters == 0 and np.array_equal(again, v)
+        w, near = proximal_step(m, p, fp, u, start=0.5 * (u + v))
+        assert near.inner_iters > 0 and near.inner_residual <= default_inner_tol(m)
+        assert h_norm(m, w - v) <= 1e-9 * h_norm(m, v)
+
+    def test_start_iterate_of_another_shape_is_refused(self):
+        m = DiscMesh(1.0, 8, 16)
+        with pytest.raises(ValueError, match=r"start iterate has shape \(3,\)"):
+            proximal_step(m, benchmark_params(), FlowParams(tau=1 / 128, T=1.0),
+                          np.zeros(m.num_nodes), start=np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_iterate_is_refused(self, bad):
+        m = DiscMesh(1.0, 8, 16)
+        start = np.zeros(m.num_nodes)
+        start[5] = bad
+        with pytest.raises(ValueError, match="start iterate contains non-finite values"):
+            proximal_step(m, benchmark_params(), FlowParams(tau=1 / 128, T=1.0),
+                          np.zeros(m.num_nodes), start=start)
+
     @pytest.mark.parametrize("wells", [IND, quadratic(1.0), tabulated([[-1, 0.5], [0, 0], [1, 0.5]])],
                              ids=["indicator", "quadratic", "tabulated"])
     def test_non_finite_newton_direction_is_a_solver_error(self, monkeypatch, wells):
@@ -302,6 +328,45 @@ class TestRunFlow:
         assert np.sign(uf[2]) > 0 > np.sign(uf[-3])
         # regression pin from the first validated run of this configuration
         assert h_norm(m, uf) == pytest.approx(1.653802501953774, rel=1e-9)
+
+    def test_zero_increment_guide_reproduces_the_unguided_run(self):
+        m = DiscMesh(1.0, 8, 16)
+        p, fp = benchmark_params(), FlowParams(tau=1 / 128, T=4 / 128)
+        u0 = noisy_two_phase(m, 1)
+        f = ForcingField.constant(m, 3.0, 3.0)
+        cold = run_flow(m, p, fp, u0, f, snapshot_every=1)
+        guided = run_flow(m, p, fp, u0, f, snapshot_every=1, guide=[u0] * (fp.num_steps + 1))
+        assert np.array_equal(guided[0], cold[0])
+        assert guided[1] == cold[1]
+        assert all(a == b and np.array_equal(x, y)
+                   for (a, x), (b, y) in zip(guided[2], cold[2], strict=True))
+
+    @pytest.mark.parametrize("case", ["short", "long", "shape", "nan", "inf"])
+    def test_malformed_guide_is_refused_before_any_step(self, monkeypatch, case):
+        m = DiscMesh(1.0, 4, 8)
+        fp = FlowParams(tau=1 / 128, T=3 / 128)
+        u0 = noisy_two_phase(m, 0)
+        guide = [u0.copy() for _ in range(fp.num_steps + 1)]
+        if case == "short":
+            guide.pop()
+        elif case == "long":
+            guide.append(u0)
+        elif case == "shape":
+            guide[2] = u0[:-1]
+        else:
+            guide[2][7] = np.nan if case == "nan" else -np.inf
+        message = {"short": r"guide holds 3 states, the run takes num_steps \+ 1 = 4",
+                   "long": r"guide holds 5 states, the run takes num_steps \+ 1 = 4",
+                   "shape": r"guide state has shape \(31,\), mesh has 32 nodes",
+                   "nan": "guide state contains non-finite values",
+                   "inf": "guide state contains non-finite values"}[case]
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the guide was checked")
+
+        monkeypatch.setattr(acgf.flow, "proximal_step", no_step)
+        with pytest.raises(ValueError, match=message):
+            run_flow(m, benchmark_params(), fp, u0, guide=guide)
 
     def test_trace_contract(self):
         m = IntervalMesh(1.0, 16)
