@@ -1,14 +1,13 @@
 """Command-line entry point.
 
 Subcommands: run, sweep-eps, sweep-reg, sweep-dep, probe-mosco. Every
-subcommand takes --config PATH plus optional --out/--seed/--threads
-(ACGF_THREADS is the environment fallback for --threads). Exit codes:
-0 success, 1 numerical or verdict failure, 2 usage/configuration error.
+subcommand takes --config PATH plus optional --out/--seed. Sweep members
+run one after another. Exit codes: 0 success, 1 numerical or verdict
+failure, 2 usage/configuration error.
 """
 
 import argparse
 import math
-import os
 import sys
 
 from . import experiments, runio
@@ -64,8 +63,6 @@ def _build_parser():
         sp.add_argument("--config", required=True, help="path to the JSON run configuration")
         sp.add_argument("--out", default=None, help="output directory (default: from config)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="sweep parallelism (default: ACGF_THREADS or 1)")
 
     common(sub.add_parser("run", help="time-step the flow and persist trace/snapshots"))
 
@@ -90,19 +87,6 @@ def _build_parser():
     return parser
 
 
-def _threads(args):
-    source, threads = "--threads", args.threads
-    env = os.environ.get("ACGF_THREADS")
-    if threads is None and env:
-        try:
-            source, threads = "ACGF_THREADS", int(env)
-        except ValueError:
-            raise ConfigError(f"ACGF_THREADS: not an integer: {env!r}")
-    if threads is not None and threads < 1:
-        raise ConfigError(f"{source}: must be >= 1, got {threads}")
-    return threads or 1
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -119,7 +103,6 @@ def main(argv=None):
             cfg.seed = args.seed
         if args.out is not None:
             cfg.output_dir = args.out
-        threads = _threads(args)
         echo = cfg.resolved()
         outdir = cfg.output_dir
 
@@ -136,15 +119,15 @@ def main(argv=None):
             p = cfg.build_energy_params()
             _check_members(p, "--eps0", [{"eps": args.eps0}])
             _check_members(p, "--eps-list", [{"eps": e} for e in eps_list])
-            report = experiments.sweep_epsilon(cfg, eps_list, args.eps0, threads=threads)
+            report = experiments.sweep_epsilon(cfg, eps_list, args.eps0)
         elif args.command == "sweep-reg":
             pairs = _parse_pairs(args.pairs)
             _check_members(cfg.build_energy_params(), "--pairs",
                            [{"delta": d, "lam": lam} for d, lam in pairs])
-            report = experiments.sweep_regularization(cfg, pairs, threads=threads)
+            report = experiments.sweep_regularization(cfg, pairs)
         elif args.command == "sweep-dep":
             mags = _parse_floats(args.magnitudes, "--magnitudes")
-            report = experiments.continuous_dependence_probe(cfg, mags, threads=threads)
+            report = experiments.continuous_dependence_probe(cfg, mags)
         else:  # probe-mosco
             if args.deltas is not None:
                 deltas = _parse_floats(args.deltas, "--deltas")

@@ -14,7 +14,6 @@ many sequences; see LIMITATION_NOTE.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,13 +103,6 @@ def _run_states(cfg, guide=None, **overrides):
     return mesh, fp, states, trace
 
 
-def _map_ordered(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _loglog_rate(xs, ys):
     """Least-squares slope of log y against log x; None when degenerate."""
     xs = np.asarray(xs, dtype=float)
@@ -122,15 +114,15 @@ def _loglog_rate(xs, ys):
     return float(slope)
 
 
-def sweep_epsilon(cfg, eps_list, eps0, threads=1):
+def sweep_epsilon(cfg, eps_list, eps0):
     """Rerun the flow along eps_list and compare against the eps0 reference.
 
-    The eps0 reference runs first, alone. The members then run, ``threads``
-    of them side by side, each guided by the reference's states (``run_flow``'s
-    ``guide``): since the solution depends continuously on eps, a member's
-    step n starts its Newton solve at u_{n-1} + (ref_n - ref_{n-1}) and needs
-    fewer iterates to converge to its own step. A member at eps0 itself runs
-    unguided, so that it reproduces the reference bit for bit.
+    The eps0 reference runs first. The members then run in order, each
+    guided by the reference's states (``run_flow``'s ``guide``): since the
+    solution depends continuously on eps, a member's step n starts its Newton
+    solve at u_{n-1} + (ref_n - ref_{n-1}) and needs fewer iterates to
+    converge to its own step. A member at eps0 itself runs unguided, so that
+    it reproduces the reference bit for bit.
     """
     eps_list = [float(e) for e in eps_list]
     eps0 = float(eps0)
@@ -145,9 +137,8 @@ def sweep_epsilon(cfg, eps_list, eps0, threads=1):
         raise ConfigError("the eps sweep needs a disc mesh (eps is inert on an interval)")
 
     mesh, fp, ref_states, ref_trace = _run_states(cfg, eps=eps0)
-    results = _map_ordered(
-        lambda e: _run_states(cfg, guide=None if e == eps0 else ref_states, eps=e),
-        eps_list, threads)
+    results = [_run_states(cfg, guide=None if e == eps0 else ref_states, eps=e)
+               for e in eps_list]
     report = SweepReport(kind="sweep_epsilon", params=eps_list, ref=eps0,
                          e_h=[], e_v0=[], seed=cfg.seed)
     report.traces[f"eps={eps0:.17g}(ref)"] = ref_trace
@@ -175,7 +166,7 @@ def sweep_epsilon(cfg, eps_list, eps0, threads=1):
     return report
 
 
-def sweep_regularization(cfg, pairs, threads=1):
+def sweep_regularization(cfg, pairs):
     """Rerun the flow along descending (delta, lambda) pairs; check a Cauchy trend."""
     pairs = [(float(d), float(l)) for d, l in pairs]
     if not pairs:
@@ -184,8 +175,7 @@ def sweep_regularization(cfg, pairs, threads=1):
         if d1 > d0 or l1 > l0 or (d1, l1) == (d0, l0):
             raise ConfigError("(delta, lambda) pairs must descend")
 
-    results = _map_ordered(lambda dl: _run_states(cfg, delta=dl[0], lam=dl[1]),
-                           pairs, threads)
+    results = [_run_states(cfg, delta=d, lam=l) for d, l in pairs]
     mesh, fp, _, _ = results[0]
     report = SweepReport(kind="sweep_regularization", params=[list(x) for x in pairs],
                          ref=None, e_h=[], e_v0=[], seed=cfg.seed)
@@ -219,7 +209,7 @@ def sweep_regularization(cfg, pairs, threads=1):
     return report
 
 
-def continuous_dependence_probe(cfg, magnitudes, threads=1, perturb="both"):
+def continuous_dependence_probe(cfg, magnitudes, perturb="both"):
     """Perturb data at several magnitudes and bound the response ratios.
 
     ``perturb`` selects what gets the scaled random field: "both",
@@ -270,7 +260,7 @@ def continuous_dependence_probe(cfg, magnitudes, threads=1, perturb="both"):
         num += _integrated(mesh, states, base_states, fp.tau, v0_distance_sq) ** 2
         return num / den, trace
 
-    outs = _map_ordered(one, magnitudes, threads)
+    outs = [one(mag) for mag in magnitudes]
     ratios = [r for r, _ in outs]
     envelope = 2.0 * math.exp(2.0 * p.perturbation.lipschitz * fp.T) * (1.0 + fp.T)
     report = SweepReport(kind="continuous_dependence", params=magnitudes, ref=None,

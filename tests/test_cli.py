@@ -421,32 +421,21 @@ class TestSweepCommands:
         assert report["passed"]
         assert "refute" in report["limitation"]
 
-    def test_threads_flag_and_env(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, DISC)
-        out = str(tmp_path / "thr")
-        rc = main(["sweep-eps", "--config", cfg, "--out", out,
-                   "--eps-list", "0.5,0.2", "--eps0", "0.0", "--threads", "2"])
-        assert rc == 0
-        monkeypatch.setenv("ACGF_THREADS", "2")
-        out2 = str(tmp_path / "thr2")
-        rc = main(["sweep-eps", "--config", cfg, "--out", out2,
-                   "--eps-list", "0.5,0.2", "--eps0", "0.0"])
-        assert rc == 0
-        a = json.loads((tmp_path / "thr" / "report.json").read_text())
-        b = json.loads((tmp_path / "thr2" / "report.json").read_text())
-        assert a["e_h"] == b["e_h"]
 
-
-@pytest.mark.parametrize("flag,env", [("0", None), ("-1", None), (None, "0"), (None, "-1")])
-def test_thread_count_below_one_rejected(tmp_path, capsys, monkeypatch, flag, env):
-    if env is not None:
-        monkeypatch.setenv("ACGF_THREADS", env)
-    args = ["sweep-eps", "--config", write_cfg(tmp_path, DISC), "--out", str(tmp_path / "o"),
-            "--eps-list", "0.5", "--eps0", "0.0"]
-    assert main(args + (["--threads", flag] if flag is not None else [])) == 2
-    source = "--threads" if flag is not None else "ACGF_THREADS"
-    assert f"{source}: must be >= 1, got {flag or env}" in capsys.readouterr().err
+@pytest.mark.parametrize("command,args", [
+    ("run", []),
+    ("sweep-eps", ["--eps-list", "0.5", "--eps0", "0.0"]),
+    ("sweep-reg", ["--pairs", "0.5:0.5,0.25:0.25"]),
+    ("sweep-dep", ["--magnitudes", "0.1"]),
+    ("probe-mosco", ["--deltas", "0.5,0.25"]),
+])
+def test_thread_count_is_not_a_setting(tmp_path, capsys, monkeypatch, command, args):
+    monkeypatch.setenv("ACGF_THREADS", "0")
+    args = [command, "--config", write_cfg(tmp_path, DISC), "--out", str(tmp_path / "o")] + args
+    assert main(args + ["--threads", "2"]) == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    assert main(args) == 0
 
 
 def test_missing_subcommand_is_usage_error():

@@ -93,11 +93,6 @@ class TestSweepEpsilon:
         with pytest.raises(ConfigError):
             sweep_epsilon(disc_cfg(), [], 0.0)
 
-    def test_threads_give_identical_report(self):
-        a = sweep_epsilon(disc_cfg(), [0.6, 0.3], 0.0, threads=1)
-        b = sweep_epsilon(disc_cfg(), [0.6, 0.3], 0.0, threads=3)
-        assert a.e_h == b.e_h and a.e_v0 == b.e_v0
-
     def test_guided_members_cut_the_newton_iterates_of_a_one_step_sweep(self, monkeypatch):
         # cold-started members take 45 iterates here; guided ones 26
         cfg = benchmark_disc_cfg(steps=1)
@@ -143,6 +138,25 @@ class TestSweepRegularization:
     def test_non_descending_pairs_rejected(self):
         with pytest.raises(ConfigError):
             sweep_regularization(interval_cfg(), [(0.25, 0.25), (0.5, 0.5)])
+
+
+@pytest.mark.parametrize("sweep,members", [
+    (lambda cfg: sweep_epsilon(cfg, [0.6, 0.3], 0.0), 3),
+    (lambda cfg: sweep_regularization(cfg, [(0.5, 0.5), (0.25, 0.25)]), 2),
+], ids=["eps", "regularization"])
+def test_every_sweep_member_runs_on_the_one_mesh_of_its_config(monkeypatch, sweep, members):
+    # the mesh's lazy band_slots and cell_products tables are then built once per sweep
+    meshes = []
+
+    def recording_run_flow(mesh, *args, **kwargs):
+        meshes.append(mesh)
+        return run_flow(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(acgf.experiments, "run_flow", recording_run_flow)
+    cfg = disc_cfg()
+    sweep(cfg)
+    assert len(meshes) == members
+    assert all(mesh is cfg.build_all()[0] for mesh in meshes)
 
 
 class TestContinuousDependence:

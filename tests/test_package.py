@@ -1,11 +1,15 @@
 """The package surface: what ``acgf`` exports, and what its modules import."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import acgf
+from acgf import cli
 
 SOURCES = Path(acgf.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_star_import_binds_every_exported_name():
@@ -36,3 +40,29 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCES.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unknown_readme_flags(readme):
+    """Per command of the README's "Command line" block, the flags its parser rejects."""
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    parser = cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    unknown = {}
+    for line in block.strip().splitlines():
+        _, command, rest = line.split(None, 2)
+        accepted = {flag for action in commands[command]._actions
+                    for flag in action.option_strings}
+        unknown[command] = sorted(set(re.findall(r"--[a-z0-9-]+", rest)) - accepted)
+    return unknown
+
+
+def test_unknown_readme_flags_are_found():
+    readme = "## Command line\n\n```\nacgf run --config cfg.json [--threads N]\n```\n"
+    assert unknown_readme_flags(readme) == {"run": ["--threads"]}
+
+
+def test_every_flag_in_the_readme_command_block_is_accepted():
+    found = unknown_readme_flags(README.read_text(encoding="utf-8"))
+    assert sorted(found) == ["probe-mosco", "run", "sweep-dep", "sweep-eps", "sweep-reg"]
+    assert {command: flags for command, flags in found.items() if flags} == {}
