@@ -192,9 +192,7 @@ class ForcingField:
 
     @classmethod
     def constant(cls, mesh, bulk_value, bdry_value):
-        field = np.full(mesh.num_nodes, float(bulk_value))
-        field[mesh.boundary_nodes] = float(bdry_value)
-        return cls([0.0], [field])
+        return cls.tabulated(mesh, [0.0], [bulk_value], [bdry_value])
 
     @classmethod
     def tabulated(cls, mesh, times, bulk_values, bdry_values):

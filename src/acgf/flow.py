@@ -10,10 +10,11 @@ so every subproblem stays strongly convex whatever the concavity of the
 wells' smooth parts. The one stability guard is tau <= 1/(2 L_g), L_g the
 Lipschitz constant of the perturbation's derivative.
 
-The inner solver is the primal-dual Newton method of Chan, Golub and
-Mulet (SIAM J. Sci. Comput. 20(6), 1999) with an Armijo backtracking line
-search on J. Each iterate assembles the Newton matrix of J as a band in the
-mesh's ``band_order`` and solves for the step d with one banded Cholesky
+``proximal_step`` is one step, and its Newton loop is the inner solver:
+the primal-dual Newton method of Chan, Golub and Mulet (SIAM J. Sci.
+Comput. 20(6), 1999) with an Armijo backtracking line search on J. Each
+iterate assembles the Newton matrix of J as a band in the mesh's
+``band_order`` and solves for the step d with one banded Cholesky
 factorization, which overwrites the band in place. J is strongly convex, so
 that matrix is symmetric positive definite; a factorization that fails means
 the subproblem has lost strong convexity and raises SolverError. Neither
@@ -77,7 +78,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from . import energy as en
 from .errors import ConfigError, NonconvergenceError, SolverError
-from .meshes import bulk_gradient, h_norm
+from .meshes import _check_field, bulk_gradient, h_norm
 
 
 def _scipy_blas_on_one_thread():
@@ -152,42 +153,89 @@ class StepRecord:
     inner_backtracks: int
 
 
-def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters, w=None, start=None):
-    """Minimize |v - anchor|_H^2/(2 tau) + Phi(v) + (linear, v)_H, starting at ``start``.
+def _zero_dual(mesh):
+    return np.zeros((len(mesh.cell_ops), mesh.dim))
 
-    The first iterate is ``start`` (anchor when None); the objective keeps the
-    anchor either way. The dual flux starts at ``w`` (zero when None) and is
-    updated in place.
-    Returns (the minimizer's ``energy.Evaluation``, iterations, certified
-    gradient norm, line-search halvings). Raises on NaN objectives, a
-    non-finite Newton direction or an exhausted budget.
+
+def _dual_step(w, dw):
+    """Per cell, min(1, DUAL_FRACTION b*), b* the largest b keeping |w + b dw| <= 1 there.
+
+    The lengths come as an (ncells, 1) column, ready to scale dw; a cell with
+    dw = 0 gets 1.
     """
+    a = np.einsum("nd,nd->n", w, dw)
+    c = np.einsum("nd,nd->n", dw, dw)
+    r = 1.0 - np.einsum("nd,nd->n", w, w)
+    q = np.sqrt(a * a + c * r)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # positive root of c b^2 + 2 a b - r, in the form free of cancellation
+        roots = np.where(a >= 0.0, r / (a + q), (q - a) / c)
+    return np.minimum(1.0, DUAL_FRACTION * roots)[:, None]
+
+
+def _checked_state(mesh, state, what):
+    """state as a float array of one finite value per node; ValueError otherwise."""
+    state = _check_field(mesh, state, what)
+    if not np.all(np.isfinite(state)):
+        raise ValueError(f"{what} contains non-finite values")
+    return state
+
+
+def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
+    """One implicit-Euler step from uprev under the forcing value theta_n.
+
+    The step's Newton loop runs here: it minimizes J anchored at uprev, whose
+    linear term is G(uprev) - theta_n (see the module docstring). ``dual``,
+    an (ncells, dim) array with |w| < 1 in every cell, is the flux the loop
+    starts from; the loop leaves its final flux there, in place. Without it
+    the flux starts at zero. ``start``, one finite value per node, is the
+    first iterate in place of uprev; J stays anchored at uprev.
+
+    Returns (new state, StepRecord without step/time filled in). Raises
+    SolverError when the loop breaks down and NonconvergenceError when its
+    ``fp.inner_max_iters`` iterates run out.
+    """
+    uprev = _check_field(mesh, uprev, what="state")
+    if dual is not None:
+        if dual.shape != _zero_dual(mesh).shape:
+            raise ValueError(f"dual flux has shape {dual.shape}, mesh has "
+                             f"{len(mesh.cell_ops)} cells of dimension {mesh.dim}")
+        if not np.all(np.einsum("nd,nd->n", dual, dual) < 1.0):
+            raise ValueError("dual flux must lie inside the unit ball in every cell")
+    if start is not None:
+        start = _checked_state(mesh, start, "start iterate")
+    if not np.all(np.isfinite(uprev)):
+        raise SolverError("previous state contains non-finite values")
+    tau = fp.tau
+    tol = fp.inner_tol if fp.inner_tol is not None else default_inner_tol(mesh)
+    linear = en.gcal(mesh, p, uprev)
+    if theta_n is not None:
+        linear = linear - theta_n
     m = mesh.mass
     ml = m * linear
 
     def value(at):
-        dv = at.u - anchor
+        dv = at.u - uprev
         return (0.5 / tau * float(np.dot(m, dv * dv)) + en.phi_regularized(mesh, p, at)
                 + float(np.dot(ml, at.u)))
 
-    if w is None:
-        w = _zero_dual(mesh)  # dual flux, |w| < 1 per cell
+    w = _zero_dual(mesh) if dual is None else dual  # dual flux, |w| < 1 per cell
     backtracks = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught just below
-        first = anchor if start is None else start
+        first = uprev if start is None else start
         at = en.Evaluation(mesh, p, first.copy())  # the iterate v and all the energy reads of it
         fv = value(at)
     if not np.isfinite(fv):
         raise SolverError("non-finite objective at the inner solver start")
     gnorm = np.inf
-    for it in range(max_iters):
+    for it in range(fp.inner_max_iters):
         with np.errstate(over="ignore", invalid="ignore"):
-            pg = m * (at.u - anchor) / tau + en._grad_partial(mesh, p, at) + ml
+            pg = m * (at.u - uprev) / tau + en._grad_partial(mesh, p, at) + ml
             gnorm = math.sqrt(float(np.dot(pg * pg, 1.0 / m)))
         if not np.isfinite(gnorm):
             raise SolverError("non-finite gradient in the inner solver")
         if gnorm <= tol:
-            return at, it, gnorm, backtracks
+            break
         try:
             factor = cholesky_banded(en.hessian(mesh, p, at, m / tau, w), overwrite_ab=True,
                                      lower=True, check_finite=False)
@@ -220,72 +268,11 @@ def _solve_strongly_convex(mesh, p, tau, anchor, linear, tol, max_iters, w=None,
         else:
             raise SolverError(f"inner line search stalled at gradient norm {gnorm:.3e}")
         at, fv = trial, fn
-    raise NonconvergenceError(
-        f"inner solver hit {max_iters} iterations with residual {gnorm:.3e}",
-        residual=gnorm,
-    )
-
-
-def _zero_dual(mesh):
-    return np.zeros((len(mesh.cell_ops), mesh.dim))
-
-
-def _dual_step(w, dw):
-    """Per cell, min(1, DUAL_FRACTION b*), b* the largest b keeping |w + b dw| <= 1 there.
-
-    The lengths come as an (ncells, 1) column, ready to scale dw; a cell with
-    dw = 0 gets 1.
-    """
-    a = np.einsum("nd,nd->n", w, dw)
-    c = np.einsum("nd,nd->n", dw, dw)
-    r = 1.0 - np.einsum("nd,nd->n", w, w)
-    q = np.sqrt(a * a + c * r)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # positive root of c b^2 + 2 a b - r, in the form free of cancellation
-        roots = np.where(a >= 0.0, r / (a + q), (q - a) / c)
-    return np.minimum(1.0, DUAL_FRACTION * roots)[:, None]
-
-
-def _checked_state(mesh, state, what):
-    """state as a float array of one finite value per node; ValueError otherwise."""
-    state = np.asarray(state, dtype=float)
-    if state.shape != (mesh.num_nodes,):
-        raise ValueError(f"{what} has shape {state.shape}, mesh has {mesh.num_nodes} nodes")
-    if not np.all(np.isfinite(state)):
-        raise ValueError(f"{what} contains non-finite values")
-    return state
-
-
-def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
-    """One implicit-Euler step from uprev under the forcing value theta_n.
-
-    ``dual``, an (ncells, dim) array with |w| < 1 in every cell, is the flux
-    the inner solve starts from; the solve leaves its final flux there, in
-    place. Without it the flux starts at zero. ``start``, one finite value
-    per node, is the inner solve's first iterate in place of uprev; the step
-    still minimizes J anchored at uprev.
-
-    Returns (new state, StepRecord without step/time filled in).
-    """
-    uprev = np.asarray(uprev, dtype=float)
-    if uprev.shape != (mesh.num_nodes,):
-        raise ValueError(f"state has shape {uprev.shape}, mesh has {mesh.num_nodes} nodes")
-    if dual is not None:
-        if dual.shape != _zero_dual(mesh).shape:
-            raise ValueError(f"dual flux has shape {dual.shape}, mesh has "
-                             f"{len(mesh.cell_ops)} cells of dimension {mesh.dim}")
-        if not np.all(np.einsum("nd,nd->n", dual, dual) < 1.0):
-            raise ValueError("dual flux must lie inside the unit ball in every cell")
-    if start is not None:
-        start = _checked_state(mesh, start, "start iterate")
-    if not np.all(np.isfinite(uprev)):
-        raise SolverError("previous state contains non-finite values")
-    tol = fp.inner_tol if fp.inner_tol is not None else default_inner_tol(mesh)
-    linear = en.gcal(mesh, p, uprev)
-    if theta_n is not None:
-        linear = linear - theta_n
-    at, iters, residual, backtracks = _solve_strongly_convex(
-        mesh, p, fp.tau, uprev, linear, tol, fp.inner_max_iters, dual, start)
+    else:
+        raise NonconvergenceError(
+            f"inner solver hit {fp.inner_max_iters} iterations with residual {gnorm:.3e}",
+            residual=gnorm,
+        )
     v = at.u
     terms = en.energy_terms(mesh, p, at)
     phi = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
@@ -294,9 +281,9 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
         time=np.nan,
         phi_reg=phi,
         free_energy=phi + terms[5],
-        rate_norm=h_norm(mesh, v - uprev) / fp.tau,
-        inner_iters=iters,
-        inner_residual=residual,
+        rate_norm=h_norm(mesh, v - uprev) / tau,
+        inner_iters=it,
+        inner_residual=gnorm,
         terms=terms,
         inner_backtracks=backtracks,
     )

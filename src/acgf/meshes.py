@@ -246,10 +246,10 @@ def _affine_fit_ops(coords, cell_nodes):
     return np.einsum("nde,nke->ndk", Minv, D)
 
 
-def _check_field(mesh, u):
+def _check_field(mesh, u, what="field"):
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.num_nodes,):
-        raise ValueError(f"field has shape {u.shape}, mesh has {mesh.num_nodes} nodes")
+        raise ValueError(f"{what} has shape {u.shape}, mesh has {mesh.num_nodes} nodes")
     return u
 
 

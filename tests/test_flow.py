@@ -19,8 +19,7 @@ from acgf.config import config_from_dict
 from acgf.energy import (EnergyParams, ForcingField, SmoothPerturbation, grad_phi_regularized,
                          phi_regularized)
 from acgf.errors import ConfigError, NonconvergenceError, SolverError
-from acgf.flow import (FlowParams, _dual_step, _solve_strongly_convex, default_inner_tol,
-                       proximal_step, run_flow)
+from acgf.flow import FlowParams, _dual_step, default_inner_tol, proximal_step, run_flow
 from acgf.meshes import DiscMesh, IntervalMesh, h_inner, h_norm
 from acgf.potentials import indicator, quadratic, tabulated
 
@@ -98,6 +97,16 @@ class TestProximalStep:
         with pytest.raises(NonconvergenceError) as exc:
             proximal_step(m, p, fp, u)
         assert exc.value.residual is not None and exc.value.residual > 0
+
+    def test_previous_state_of_another_shape_or_non_finite_is_refused(self):
+        m = DiscMesh(1.0, 8, 16)
+        p, fp = benchmark_params(), FlowParams(tau=1 / 128, T=1.0)
+        with pytest.raises(ValueError, match=r"state has shape \(3,\), mesh has 128 nodes"):
+            proximal_step(m, p, fp, np.zeros(3))
+        uprev = np.zeros(m.num_nodes)
+        uprev[5] = np.nan
+        with pytest.raises(SolverError, match="previous state contains non-finite values"):
+            proximal_step(m, p, fp, uprev)
 
     @pytest.mark.parametrize("delta", [0.01, 0.001])
     @pytest.mark.parametrize("eps", [0.0, 0.5])
@@ -227,8 +236,10 @@ class TestProximalStep:
             return next(script, 0.5) - rest
 
         monkeypatch.setattr(acgf.energy, "phi_regularized", scripted)
+        # no perturbation, so the step's linear term is -theta_n = linear itself
+        fp = FlowParams(tau=tau, T=tau, inner_tol=5e-324, inner_max_iters=2)
         with pytest.raises(NonconvergenceError):
-            _solve_strongly_convex(m, p, tau, anchor, linear, 0.0, 2)
+            proximal_step(m, p, fp, anchor, -linear)
         # the start, the first trial, then the second trial refused and its halving accepted
         assert len(seen) == 4
 
@@ -245,6 +256,14 @@ class TestRunFlow:
         uf, trace, _ = run_flow(m, p, fp, u0)
         assert sum(r.inner_iters for r in trace) < restarted
         assert h_norm(m, uf) == pytest.approx(h_norm(m, u), rel=1e-9)
+
+    def test_nonconvergence_names_the_step_and_carries_it(self):
+        m = IntervalMesh(1.0, 16)
+        u = np.random.default_rng(5).uniform(-0.9, 0.9, m.num_nodes)
+        fp = FlowParams(tau=0.1, T=1.0, inner_tol=1e-15, inner_max_iters=1)
+        with pytest.raises(NonconvergenceError, match="^step 1: inner solver hit 1 iterations") as exc:
+            run_flow(m, make_params(), fp, u)
+        assert exc.value.step == 1 and exc.value.residual > 0
 
     def test_indefinite_newton_matrix_is_a_solver_error(self, monkeypatch):
         hessian = acgf.energy.hessian

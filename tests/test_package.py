@@ -2,11 +2,12 @@
 
 import argparse
 import ast
+import math
 import re
 from pathlib import Path
 
 import acgf
-from acgf import cli
+from acgf import cli, runio
 
 SOURCES = Path(acgf.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -66,3 +67,17 @@ def test_every_flag_in_the_readme_command_block_is_accepted():
     found = unknown_readme_flags(README.read_text(encoding="utf-8"))
     assert sorted(found) == ["probe-mosco", "run", "sweep-dep", "sweep-eps", "sweep-reg"]
     assert {command: flags for command, flags in found.items() if flags} == {}
+
+
+def test_readme_trace_header_is_the_one_written():
+    block = README.read_text(encoding="utf-8").split("## Outputs", 1)[1].split("```")[1]
+    assert "".join(block.split()) == runio.TRACE_HEADER
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    block = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    source = block.split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(source, namespace)
+    assert math.isfinite(namespace["trace"][-1].free_energy)
+    assert capsys.readouterr().out.strip()
