@@ -8,7 +8,6 @@ from .energy import (
     SmoothPerturbation,
     energy_terms,
     free_energy,
-    grad_phi_regularized,
     is_feasible,
     phi_exact,
     phi_regularized,
@@ -21,7 +20,6 @@ from .meshes import (
     bulk_gradient,
     h_inner,
     h_norm,
-    laplace_beltrami,
     surface_gradient,
 )
 from .norms import SmoothedNorm
@@ -43,12 +41,10 @@ __all__ = [
     "bulk_gradient",
     "energy_terms",
     "free_energy",
-    "grad_phi_regularized",
     "h_inner",
     "h_norm",
     "indicator",
     "is_feasible",
-    "laplace_beltrami",
     "phi_exact",
     "phi_regularized",
     "proximal_step",

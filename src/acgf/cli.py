@@ -17,9 +17,12 @@ from .flow import run_flow
 
 
 def _real(tok, flag):
-    """tok as a finite real, or a ConfigError naming the flag."""
+    """tok as a finite real, or a ConfigError naming the flag.
+
+    float() also takes "0_5" and non-ASCII digits such as "１.5"; both are refused.
+    """
     try:
-        value = float(tok)
+        value = float(tok) if tok.isascii() and "_" not in tok else math.nan
     except ValueError:
         value = math.nan
     if not math.isfinite(value):

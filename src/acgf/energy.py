@@ -12,9 +12,10 @@ counterpart replaces f_delta by the Euclidean norm and the envelopes by
 the exact wells (so it may be +inf), and the full free energy adds the
 smooth non-convex perturbation.
 
-Gradients are returned against the discrete product inner product: the
-nodal partial derivatives are divided by the quadrature mass so that
-h_inner(grad, v) equals the directional derivative along v. Without this
+Gradients are taken against the discrete product inner product: the
+nodal partial derivatives (``_grad_partial``) divided by the quadrature
+mass, so that h_inner(grad, v) equals the directional derivative along v.
+The inner solver weighs its terms by the same mass. Without this
 reweighting the time stepping would silently run a mass-lumped variant
 with mesh-dependent speed.
 
@@ -133,10 +134,6 @@ class SmoothPerturbation:
         self.lipschitz = max(self.bulk.lipschitz, self.bdry.lipschitz)
 
     @staticmethod
-    def none():
-        return SmoothPerturbation(NonePart())
-
-    @staticmethod
     def neg_quadratic(lo=-1.0, hi=1.0):
         return SmoothPerturbation(NegQuadraticPart(lo, hi))
 
@@ -177,10 +174,9 @@ class EnergyParams:
 class ForcingField:
     """Nodal forcing, piecewise constant in time; None encodes zero."""
 
-    def __init__(self, times, fields, offset=None):
+    def __init__(self, times, fields):
         self.times = np.asarray(times, dtype=float)
         self.fields = fields
-        self.offset = offset
         if len(self.times) != len(self.fields) or len(self.times) == 0:
             raise ConfigError("forcing needs matching, nonempty times and fields")
         if self.times[0] > 0.0 or np.any(np.diff(self.times) <= 0.0):
@@ -207,14 +203,11 @@ class ForcingField:
 
     def at_time(self, t):
         k = int(np.searchsorted(self.times, t + 1e-12, side="right")) - 1
-        f = self.fields[max(k, 0)]
-        if self.offset is None:
-            return f
-        return self.offset if f is None else f + self.offset
+        return self.fields[max(k, 0)]
 
     def with_offset(self, field):
-        off = field if self.offset is None else self.offset + field
-        return ForcingField(self.times, self.fields, off)
+        """This forcing plus the nodal ``field`` at every time, added into each field once."""
+        return ForcingField(self.times, [field if f is None else f + field for f in self.fields])
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +316,6 @@ def _grad_partial(mesh, p, u):
         out += np.bincount(mesh.seg_nodes[:, 1], c, n) - np.bincount(mesh.seg_nodes[:, 0], c, n)
     out[mesh.boundary_nodes] += at.bdry[1] * mesh.w_bdry
     return out
-
-
-def grad_phi_regularized(mesh, p, u):
-    """Gradient of the regularized energy w.r.t. the product inner product."""
-    return _grad_partial(mesh, p, u) / mesh.mass
 
 
 def hessian(mesh, p, u, shift, dual=None):

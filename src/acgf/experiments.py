@@ -8,13 +8,18 @@ the exact one), a continuous-dependence probe (perturbation response
 ratios must stay under a Gronwall-type envelope), and a sampled
 convergence probe for the smoothing families themselves.
 
+The three flow probes build their configuration once each and derive
+every member from it (``EnergyParams.replace`` or shifted data); every
+member runs through ``_states``, the one call of ``run_flow`` here. A
+report passes iff all of its verdicts hold.
+
 Every probe is deterministic given the configuration seed. A probe of
 this kind can only refute an assertion that quantifies over infinitely
 many sequences; see LIMITATION_NOTE.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,24 +45,19 @@ class SweepReport:
     e_v0: list
     extra: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
-    passed: bool = False
     notes: list = field(default_factory=list)
     traces: dict = field(default_factory=dict)
     seed: int = 0
 
+    @property
+    def passed(self):
+        """True iff every verdict holds."""
+        return all(self.verdicts.values())
+
     def to_jsonable(self):
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "ref": self.ref,
-            "e_h": self.e_h,
-            "e_v0": self.e_v0,
-            "extra": self.extra,
-            "verdicts": self.verdicts,
-            "passed": self.passed,
-            "notes": self.notes,
-            "seed": self.seed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "traces"}
+        out["passed"] = self.passed
+        return out
 
 
 def v0_distance_sq(mesh, u, v):
@@ -85,22 +85,21 @@ def _sup_h_dist(mesh, states_a, states_b):
 
 
 def _integrated(mesh, states_a, states_b, tau, metric):
-    total = 0.0
-    for a, b in zip(states_a[1:], states_b[1:]):
-        total += tau * metric(mesh, a, b)
-    return math.sqrt(total)
+    return math.sqrt(sum(tau * metric(mesh, a, b) for a, b in zip(states_a[1:], states_b[1:])))
 
 
-def _run_states(cfg, guide=None, **overrides):
-    """Run the flow for cfg with energy overrides; returns (mesh, fp, states, trace).
+def _states(mesh, p, fp, u0, forcing, guide=None):
+    """Run one sweep member; returns (its state at every step, its trace).
 
     ``guide`` is passed to ``run_flow``: the states of a run to follow.
     """
-    mesh, p, fp, u0, forcing = cfg.build_all()
-    _, trace, snaps = run_flow(mesh, p.replace(**overrides), fp, u0, forcing, snapshot_every=1,
-                               guide=guide)
-    states = [s for _, s in snaps]
-    return mesh, fp, states, trace
+    _, trace, snaps = run_flow(mesh, p, fp, u0, forcing, snapshot_every=1, guide=guide)
+    return [s for _, s in snaps], trace
+
+
+def _decreasing(xs):
+    """True iff every entry of xs is below the one before it."""
+    return all(b < a for a, b in zip(xs, xs[1:]))
 
 
 def _loglog_rate(xs, ys):
@@ -131,38 +130,32 @@ def sweep_epsilon(cfg, eps_list, eps0):
     if any(e < 0.0 for e in eps_list) or eps0 < 0.0:
         raise ConfigError("eps values must be nonnegative")
     gaps = [abs(e - eps0) for e in eps_list]
-    if any(b >= a for a, b in zip(gaps, gaps[1:])):
+    if not _decreasing(gaps):
         raise ConfigError("eps_list must approach eps0 strictly")
     if cfg.mesh["kind"] != "disc":
         raise ConfigError("the eps sweep needs a disc mesh (eps is inert on an interval)")
 
-    mesh, fp, ref_states, ref_trace = _run_states(cfg, eps=eps0)
-    results = [_run_states(cfg, guide=None if e == eps0 else ref_states, eps=e)
-               for e in eps_list]
+    mesh, p, fp, u0, forcing = cfg.build_all()
     report = SweepReport(kind="sweep_epsilon", params=eps_list, ref=eps0,
                          e_h=[], e_v0=[], seed=cfg.seed)
-    report.traces[f"eps={eps0:.17g}(ref)"] = ref_trace
+    ref, report.traces[f"eps={eps0:.17g}(ref)"] = _states(mesh, p.replace(eps=eps0), fp, u0,
+                                                          forcing)
     bdry = []
-    for e, (_, _, states, trace) in zip(eps_list, results):
-        report.traces[f"eps={e:.17g}"] = trace
-        report.e_h.append(_sup_h_dist(mesh, states, ref_states))
-        report.e_v0.append(_integrated(mesh, states, ref_states, fp.tau, v0_distance_sq))
-        bdry.append(_integrated(mesh, states, ref_states, fp.tau, _boundary_h1_sq))
+    for e in eps_list:
+        states, report.traces[f"eps={e:.17g}"] = _states(
+            mesh, p.replace(eps=e), fp, u0, forcing, guide=None if e == eps0 else ref)
+        report.e_h.append(_sup_h_dist(mesh, states, ref))
+        report.e_v0.append(_integrated(mesh, states, ref, fp.tau, v0_distance_sq))
+        bdry.append(_integrated(mesh, states, ref, fp.tau, _boundary_h1_sq))
+    report.verdicts["e_h_strictly_decreasing"] = _decreasing(report.e_h)
     if eps0 > 0.0:
         report.extra["boundary_h1"] = bdry
-    report.verdicts["e_h_strictly_decreasing"] = all(
-        b < a for a, b in zip(report.e_h, report.e_h[1:])
-    )
-    if eps0 > 0.0:
-        report.verdicts["boundary_h1_decreasing"] = all(
-            b < a for a, b in zip(bdry, bdry[1:])
-        )
+        report.verdicts["boundary_h1_decreasing"] = _decreasing(bdry)
     report.extra["fitted_rate"] = _loglog_rate(gaps, report.e_h)
     report.notes.append(
         "forcing held fixed across the sweep (a strongly convergent family); "
         "weak-only convergence of forcings is not finitely samplable"
     )
-    report.passed = all(report.verdicts.values())
     return report
 
 
@@ -175,29 +168,24 @@ def sweep_regularization(cfg, pairs):
         if d1 > d0 or l1 > l0 or (d1, l1) == (d0, l0):
             raise ConfigError("(delta, lambda) pairs must descend")
 
-    results = [_run_states(cfg, delta=d, lam=l) for d, l in pairs]
-    mesh, fp, _, _ = results[0]
+    mesh, p, fp, u0, forcing = cfg.build_all()
+    members = [p.replace(delta=d, lam=l) for d, l in pairs]
     report = SweepReport(kind="sweep_regularization", params=[list(x) for x in pairs],
                          ref=None, e_h=[], e_v0=[], seed=cfg.seed)
-    for (d, l), (_, _, _, trace) in zip(pairs, results):
-        report.traces[f"delta={d:.17g}_lambda={l:.17g}"] = trace
-    succ = []
-    for (_, _, sa, _), (_, _, sb, _) in zip(results, results[1:]):
-        succ.append(_sup_h_dist(mesh, sa, sb))
-    report.e_h = succ
-    report.e_v0 = [
-        _integrated(mesh, a[2], b[2], fp.tau, v0_distance_sq)
-        for a, b in zip(results, results[1:])
-    ]
-    report.verdicts["successive_distances_decreasing"] = all(
-        b < a for a, b in zip(succ, succ[1:])
-    )
-    report.extra["fitted_rate"] = _loglog_rate([d for d, _ in pairs[:len(succ)]], succ)
+    states = []
+    for (d, l), q in zip(pairs, members):
+        s, report.traces[f"delta={d:.17g}_lambda={l:.17g}"] = _states(mesh, q, fp, u0, forcing)
+        states.append(s)
+    report.e_h = [_sup_h_dist(mesh, a, b) for a, b in zip(states, states[1:])]
+    report.e_v0 = [_integrated(mesh, a, b, fp.tau, v0_distance_sq)
+                   for a, b in zip(states, states[1:])]
+    report.verdicts["successive_distances_decreasing"] = _decreasing(report.e_h)
+    report.extra["fitted_rate"] = _loglog_rate([d for d, _ in pairs[:len(report.e_h)]],
+                                               report.e_h)
 
     # smoothed energy of the fixed initial state climbs toward the exact one
-    mesh0, p0, _, u0, _ = cfg.build_all()
-    phis = [phi_regularized(mesh0, p0.replace(delta=d, lam=l), u0) for d, l in pairs]
-    exact = phi_exact(mesh0, p0, u0)
+    phis = [phi_regularized(mesh, q, u0) for q in members]
+    exact = phi_exact(mesh, p, u0)
     report.extra["phi_values"] = phis
     report.extra["phi_exact"] = exact
     ok = all(b >= a - 1e-12 * (1.0 + abs(a)) for a, b in zip(phis, phis[1:]))
@@ -205,74 +193,59 @@ def sweep_regularization(cfg, pairs):
     if len(phis) >= 2 and np.isfinite(exact):
         ok = ok and (exact - phis[-1]) <= (exact - phis[0]) + 1e-12
     report.verdicts["phi_recovery_monotone"] = bool(ok)
-    report.passed = all(report.verdicts.values())
     return report
 
 
-def continuous_dependence_probe(cfg, magnitudes, perturb="both"):
-    """Perturb data at several magnitudes and bound the response ratios.
+def continuous_dependence_probe(cfg, magnitudes):
+    """Perturb the initial state and the forcing at several magnitudes; bound the response ratios.
 
-    ``perturb`` selects what gets the scaled random field: "both",
-    "u0" (initial state only), or "theta" (forcing only).
+    Two standard normal nodal fields are drawn from the config seed, xi_u
+    and then xi_theta. The member at magnitude m starts from u0 + m xi_u
+    (clipped to the well domain) under the forcing theta + m xi_theta. Its
+    squared distance from the baseline run, over the squared size of that
+    data perturbation, must stay under a Gronwall-type envelope, and an
+    unperturbed rerun must reproduce the baseline bit for bit.
     """
     magnitudes = [float(m) for m in magnitudes]
     if not magnitudes:
         raise ConfigError("magnitudes must be nonempty")
     if any(m <= 0.0 for m in magnitudes):
         raise ConfigError("magnitudes must be positive")
-    if any(b >= a for a, b in zip(magnitudes, magnitudes[1:])):
+    if not _decreasing(magnitudes):
         raise ConfigError("magnitudes must descend")
-    if perturb not in ("both", "u0", "theta"):
-        raise ConfigError(f"perturb must be both/u0/theta, got {perturb!r}")
 
     mesh, p, fp, u0, forcing = cfg.build_all()
-    lo, hi = p.bulk_potential.lo, p.bulk_potential.hi
-    _, base_trace, base_snaps = run_flow(mesh, p, fp, u0, forcing, snapshot_every=1)
-    base_states = [s for _, s in base_snaps]
-
-    # bitwise determinism: the unperturbed rerun must reproduce the baseline
-    _, _, again = run_flow(mesh, p, fp, u0, forcing, snapshot_every=1)
-    deterministic = all(
-        np.array_equal(a, b) for (_, a), (_, b) in zip(base_snaps, again)
-    )
-
+    base, base_trace = _states(mesh, p, fp, u0, forcing)
+    again, _ = _states(mesh, p, fp, u0, forcing)  # the unperturbed rerun must match bitwise
     rng = np.random.default_rng(cfg.seed)
-    xi_u = rng.standard_normal(mesh.num_nodes) if perturb != "theta" else 0.0
-    xi_th = rng.standard_normal(mesh.num_nodes) if perturb != "u0" else None
-    steps = fp.num_steps
+    xi_u = rng.standard_normal(mesh.num_nodes)
+    xi_th = rng.standard_normal(mesh.num_nodes)
 
-    def one(mag):
-        u0p = np.clip(u0 + mag * xi_u, lo, hi)
-        du0 = u0p - u0
-        f = forcing if xi_th is None else forcing.with_offset(mag * xi_th)
+    report = SweepReport(kind="continuous_dependence", params=magnitudes, ref=None,
+                         e_h=[], e_v0=[], seed=cfg.seed)
+    report.traces["baseline"] = base_trace
+    for mag in magnitudes:
+        u0p = np.clip(u0 + mag * xi_u, p.bulk_potential.lo, p.bulk_potential.hi)
         try:
-            den = h_norm(mesh, du0) ** 2
-            if xi_th is not None:
-                den += steps * fp.tau * (mag ** 2) * h_norm(mesh, xi_th) ** 2
+            den = h_norm(mesh, u0p - u0) ** 2
+            den += fp.num_steps * fp.tau * (mag ** 2) * h_norm(mesh, xi_th) ** 2
         except OverflowError:
             den = math.inf
         if not 0.0 < den < math.inf:
             raise ConfigError(f"magnitudes: {mag} gives the data perturbation a squared norm "
                               f"of {den}, outside (0, inf)")
-        _, trace, snaps = run_flow(mesh, p, fp, u0p, f, snapshot_every=1)
-        states = [s for _, s in snaps]
-        num = _sup_h_dist(mesh, states, base_states) ** 2
-        num += _integrated(mesh, states, base_states, fp.tau, v0_distance_sq) ** 2
-        return num / den, trace
-
-    outs = [one(mag) for mag in magnitudes]
-    ratios = [r for r, _ in outs]
+        states, report.traces[f"magnitude={mag:.17g}"] = _states(
+            mesh, p, fp, u0p, forcing.with_offset(mag * xi_th))
+        num = _sup_h_dist(mesh, states, base) ** 2
+        num += _integrated(mesh, states, base, fp.tau, v0_distance_sq) ** 2
+        report.e_h.append(num / den)
+    ratios = report.e_h
     envelope = 2.0 * math.exp(2.0 * p.perturbation.lipschitz * fp.T) * (1.0 + fp.T)
-    report = SweepReport(kind="continuous_dependence", params=magnitudes, ref=None,
-                         e_h=ratios, e_v0=[], seed=cfg.seed)
-    report.traces["baseline"] = base_trace
-    for m, (_, tr) in zip(magnitudes, outs):
-        report.traces[f"magnitude={m:.17g}"] = tr
     report.extra["envelope"] = envelope
     report.extra["ratio_spread"] = (max(ratios) / min(ratios)) if min(ratios) > 0 else np.inf
     report.verdicts["bounded_by_envelope"] = all(r <= envelope for r in ratios)
-    report.verdicts["deterministic_baseline"] = deterministic
-    report.passed = all(report.verdicts.values())
+    report.verdicts["deterministic_baseline"] = all(
+        np.array_equal(a, b) for a, b in zip(base, again))
     return report
 
 

@@ -268,16 +268,6 @@ def surface_gradient(mesh, u):
     return du / mesh.seg_len
 
 
-def laplace_beltrami(mesh, u):
-    """Periodic second difference along the boundary loop, per boundary node."""
-    if mesh.kind != "disc":
-        raise ValueError("laplace_beltrami needs a 1-dimensional boundary (disc mesh); "
-                         "on an interval it vanishes identically")
-    u = _check_field(mesh, u)
-    ub = u[mesh.boundary_nodes]
-    return (np.roll(ub, 1) - 2.0 * ub + np.roll(ub, -1)) / mesh.seg_len**2
-
-
 def h_inner(mesh, u, v):
     """Discrete inner product of the product space L2(bulk) x L2(boundary)."""
     u = _check_field(mesh, u)

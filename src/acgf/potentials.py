@@ -247,14 +247,6 @@ class _Tabulated(ScalarConvexPotential):
         return (d * d / (2.0 * lam) + np.interp(p, self.ts, self.bs), d / lam,
                 np.where(moving, 0.0, 1.0 / lam))
 
-    def optimality_residual(self, lam, r, p):
-        """Distance of (r - p)/lam from the subdifferential interval at p."""
-        lam = _check_lam(lam)
-        g = (np.asarray(r, dtype=float) - p) / lam
-        s_lo = np.where(p <= self.lo, -np.inf, self._slope_left(p))
-        s_hi = np.where(p >= self.hi, np.inf, self._slope_right(p))
-        return np.maximum(np.maximum(s_lo - g, g - s_hi), 0.0)
-
     def minimal_section(self, r):
         arr, scalar = _as_array(r)
         s_lo = np.where(arr <= self.lo, -np.inf, self._slope_left(arr))

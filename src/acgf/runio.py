@@ -80,10 +80,12 @@ def read_snapshot_values(path, expected_nodes):
         parts = ln.split(",")
         if len(parts) != 5:
             raise _row_error(path, k, ln, "expected 5 comma-separated fields")
-        if not parts[0].isdecimal():  # int() would also take signs, spaces and "1_0"
+        if not (parts[0].isascii() and parts[0].isdecimal()):  # int() takes "+3", "1_0", "٣"
             raise _row_error(path, k, ln, "node_id must be a non-negative integer")
         idx = int(parts[0])
         try:
+            if not parts[4].isascii() or "_" in parts[4]:  # float() takes "0_5" and "１.5"
+                raise ValueError
             value = float(parts[4])
         except ValueError:
             raise _row_error(path, k, ln, "value must be a number") from None

@@ -7,7 +7,32 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
+from acgf.energy import _grad_partial
+from acgf.meshes import _check_field
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+def grad_phi_regularized(mesh, p, u):
+    """Gradient of the regularized energy w.r.t. the product inner product."""
+    return _grad_partial(mesh, p, u) / mesh.mass
+
+
+def laplace_beltrami(mesh, u):
+    """Periodic second difference along the boundary loop, per boundary node."""
+    if mesh.kind != "disc":
+        raise ValueError("laplace_beltrami needs a 1-dimensional boundary (disc mesh); "
+                         "on an interval it vanishes identically")
+    ub = _check_field(mesh, u)[mesh.boundary_nodes]
+    return (np.roll(ub, 1) - 2.0 * ub + np.roll(ub, -1)) / mesh.seg_len**2
+
+
+def optimality_residual(pot, lam, r, p):
+    """Distance of (r - p)/lam from the subdifferential interval of the tabulated well pot at p."""
+    g = (np.asarray(r, dtype=float) - p) / lam
+    s_lo = np.where(p <= pot.lo, -np.inf, pot._slope_left(p))
+    s_hi = np.where(p >= pot.hi, np.inf, pot._slope_right(p))
+    return np.maximum(np.maximum(s_lo - g, g - s_hi), 0.0)
 
 
 def coordinate_descent_prox_oracle(mesh, p, tau, uprev, theta=None, grad_tol=1e-10,

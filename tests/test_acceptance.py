@@ -9,19 +9,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coordinate_descent_prox_oracle
+from conftest import coordinate_descent_prox_oracle, grad_phi_regularized, laplace_beltrami
 
 from acgf.config import config_from_dict
 from acgf.energy import (
     EnergyParams,
     ForcingField,
+    NonePart,
     SmoothPerturbation,
-    grad_phi_regularized,
     phi_regularized,
 )
 from acgf.experiments import continuous_dependence_probe, sweep_epsilon, sweep_regularization
 from acgf.flow import FlowParams, proximal_step, run_flow
-from acgf.meshes import DiscMesh, IntervalMesh, h_inner, laplace_beltrami, surface_gradient
+from acgf.meshes import DiscMesh, IntervalMesh, h_inner, surface_gradient
 from acgf.norms import SmoothedNorm
 from acgf.potentials import indicator, quadratic, tabulated
 
@@ -31,7 +31,7 @@ IND = indicator(-1.0, 1.0)
 def params(**kw):
     base = dict(kappa=0.2, eps=0.0, delta=0.1, lam=0.1,
                 bulk_potential=IND, bdry_potential=IND,
-                perturbation=SmoothPerturbation.none())
+                perturbation=SmoothPerturbation(NonePart()))
     base.update(kw)
     return EnergyParams(**base)
 

@@ -207,7 +207,11 @@ class TestRun:
         (5, "3,0,0,0,inf", "value must be finite"),
         (5, "3,0,0,0,nan", "value must be finite"),
         (19, "3,0,0,0,0.25", "node id 3 appears twice"),
-    ], ids=["fractional-id", "underscored-id", "text-value", "inf", "nan", "duplicate-id"])
+        (5, "3,0,0,0,0_5", "value must be a number"),
+        (5, "3,0,0,0,\uff11.5", "value must be a number"),
+        (5, "\u0663,0,0,0,0.5", "node_id must be a non-negative integer"),
+    ], ids=["fractional-id", "underscored-id", "text-value", "inf", "nan", "duplicate-id",
+            "underscored-value", "fullwidth-value", "arabic-indic-id"])
     def test_malformed_snapshot_row_rejected(self, tmp_path, capsys, line, row, message):
         snap = tmp_path / "snap.csv"
         snap.write_text("\n".join(SNAPSHOT_ROWS[:line - 1] + [row] + SNAPSHOT_ROWS[line:]) + "\n")
@@ -382,6 +386,23 @@ class TestSweepCommands:
         cfg = write_cfg(tmp_path, DISC)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")] + args) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,args,message", [
+        ("sweep-eps", ["--eps-list", "0_8,0_4", "--eps0", "0.0"],
+         "--eps-list: expected a finite real, got '0_8'"),
+        ("sweep-dep", ["--magnitudes", "0_1"], "--magnitudes: expected a finite real, got '0_1'"),
+        ("sweep-reg", ["--pairs", "\uff10.5:0.5"],
+         "--pairs: expected a finite real, got '\uff10.5'"),
+        ("probe-mosco", ["--deltas", "0.5,\u0660.25"],
+         "--deltas: expected a finite real, got '\u0660.25'"),
+    ], ids=["eps-list", "magnitudes", "pairs", "deltas"])
+    def test_digit_separator_or_non_ascii_digit_rejected(self, tmp_path, capsys, command, args,
+                                                        message):
+        # float() reads "0_8" as 8 and "\uff10.5" (a fullwidth zero) as 0.5
+        cfg = write_cfg(tmp_path, DISC)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")] + args) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,args,message", [

@@ -9,12 +9,12 @@ from acgf.energy import (
     EnergyParams,
     Evaluation,
     ForcingField,
+    NonePart,
     SmoothPerturbation,
     energy_terms,
     free_energy,
     _grad_partial,
     gcal,
-    grad_phi_regularized,
     hess_phi_vec,
     hessian,
     is_feasible,
@@ -26,6 +26,7 @@ from acgf.errors import ConfigError
 from acgf.meshes import DiscMesh, IntervalMesh, bulk_gradient, h_inner, h_norm
 from acgf.norms import SmoothedNorm
 from acgf.potentials import indicator, quadratic, tabulated
+from conftest import grad_phi_regularized
 
 IND = indicator(-1.0, 1.0)
 TAB = tabulated([[-1.0, 0.6], [-0.5, 0.1], [0.0, 0.0], [0.5, 0.1], [1.0, 0.6]])
@@ -45,7 +46,7 @@ def dense_from_band(mesh, band):
 def make_params(**kw):
     base = dict(kappa=1.0, eps=0.0, delta=1.0, lam=1.0,
                 bulk_potential=IND, bdry_potential=IND,
-                perturbation=SmoothPerturbation.none())
+                perturbation=SmoothPerturbation(NonePart()))
     base.update(kw)
     return EnergyParams(**base)
 

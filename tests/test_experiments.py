@@ -1,10 +1,12 @@
 """Sweep and probe studies on small configurations."""
 
+import json
+
 import numpy as np
 import pytest
 
 import acgf.experiments
-from acgf.config import config_from_dict
+from acgf.config import RunConfig, config_from_dict
 from acgf.errors import ConfigError
 from acgf.experiments import (
     LIMITATION_NOTE,
@@ -16,6 +18,7 @@ from acgf.experiments import (
 )
 from acgf.flow import run_flow
 from acgf.potentials import indicator, quadratic
+from acgf.runio import write_sweep_report
 
 
 def disc_cfg(**over):
@@ -140,10 +143,15 @@ class TestSweepRegularization:
             sweep_regularization(interval_cfg(), [(0.25, 0.25), (0.5, 0.5)])
 
 
-@pytest.mark.parametrize("sweep,members", [
+SWEEPS = [
     (lambda cfg: sweep_epsilon(cfg, [0.6, 0.3], 0.0), 3),
     (lambda cfg: sweep_regularization(cfg, [(0.5, 0.5), (0.25, 0.25)]), 2),
-], ids=["eps", "regularization"])
+    (lambda cfg: continuous_dependence_probe(cfg, [0.1, 0.01]), 4),  # baseline, its rerun, 2
+]
+SWEEP_IDS = ["eps", "regularization", "dependence"]
+
+
+@pytest.mark.parametrize("sweep,members", SWEEPS, ids=SWEEP_IDS)
 def test_every_sweep_member_runs_on_the_one_mesh_of_its_config(monkeypatch, sweep, members):
     # the mesh's lazy band_slots and cell_products tables are then built once per sweep
     meshes = []
@@ -159,23 +167,40 @@ def test_every_sweep_member_runs_on_the_one_mesh_of_its_config(monkeypatch, swee
     assert all(mesh is cfg.build_all()[0] for mesh in meshes)
 
 
+@pytest.mark.parametrize("sweep,members", SWEEPS, ids=SWEEP_IDS)
+def test_every_sweep_builds_its_config_once(monkeypatch, sweep, members):
+    builds = []
+    build_all = RunConfig.build_all
+
+    def counted_build_all(cfg):
+        builds.append(cfg)
+        return build_all(cfg)
+
+    monkeypatch.setattr(RunConfig, "build_all", counted_build_all)
+    cfg = disc_cfg()
+    sweep(cfg)
+    assert builds == [cfg]
+
+
+def test_a_failing_verdict_fails_the_report_and_its_files(tmp_path):
+    rep = sweep_epsilon(disc_cfg(), [0.8, 0.3], 0.0)
+    assert rep.passed and rep.to_jsonable()["passed"] is True
+    rep.verdicts["e_h_strictly_decreasing"] = False
+    assert not rep.passed
+    write_sweep_report(str(tmp_path), rep, {})
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["passed"] is False
+    assert "traces" not in payload
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",fail") for row in rows)
+
+
 class TestContinuousDependence:
     def test_ratios_bounded_and_deterministic(self):
         rep = continuous_dependence_probe(interval_cfg(), [0.1, 0.01, 0.001])
         assert rep.verdicts["bounded_by_envelope"]
         assert rep.verdicts["deterministic_baseline"]
         assert rep.extra["ratio_spread"] <= 2.0
-
-    def test_forcing_only_perturbation_stays_finite(self):
-        cfg = interval_cfg(initial={"kind": "constant", "value": 0.0})
-        rep = continuous_dependence_probe(cfg, [0.05], perturb="theta")
-        assert np.isfinite(rep.e_h[0])
-        assert rep.e_h[0] <= rep.extra["envelope"]
-
-    def test_initial_only_perturbation(self):
-        rep = continuous_dependence_probe(interval_cfg(), [0.1, 0.01], perturb="u0")
-        assert all(np.isfinite(r) for r in rep.e_h)
-        assert rep.verdicts["bounded_by_envelope"]
 
     def test_magnitudes_validated(self):
         with pytest.raises(ConfigError):

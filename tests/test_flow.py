@@ -16,12 +16,12 @@ from hypothesis.extra.numpy import arrays
 
 import acgf
 from acgf.config import config_from_dict
-from acgf.energy import (EnergyParams, ForcingField, SmoothPerturbation, grad_phi_regularized,
-                         phi_regularized)
+from acgf.energy import EnergyParams, ForcingField, NonePart, SmoothPerturbation, phi_regularized
 from acgf.errors import ConfigError, NonconvergenceError, SolverError
 from acgf.flow import FlowParams, _dual_step, default_inner_tol, proximal_step, run_flow
 from acgf.meshes import DiscMesh, IntervalMesh, h_inner, h_norm
 from acgf.potentials import indicator, quadratic, tabulated
+from conftest import grad_phi_regularized
 
 IND = indicator(-1.0, 1.0)
 
@@ -29,7 +29,7 @@ IND = indicator(-1.0, 1.0)
 def make_params(**kw):
     base = dict(kappa=0.2, eps=0.0, delta=0.1, lam=0.1,
                 bulk_potential=IND, bdry_potential=IND,
-                perturbation=SmoothPerturbation.none())
+                perturbation=SmoothPerturbation(NonePart()))
     base.update(kw)
     return EnergyParams(**base)
 
@@ -224,7 +224,7 @@ class TestProximalStep:
         p = make_params()
         tau = 0.1
         anchor = np.random.default_rng(7).uniform(-0.5, 0.5, m.num_nodes)
-        linear = 1e-9 - acgf.energy.grad_phi_regularized(m, p, anchor)
+        linear = 1e-9 - grad_phi_regularized(m, p, anchor)
         script = iter([1e6, 1.0, 1.0 + 1e-10])
         seen = []
 

@@ -16,9 +16,9 @@ from acgf.meshes import (
     bulk_gradient,
     h_inner,
     h_norm,
-    laplace_beltrami,
     surface_gradient,
 )
+from conftest import laplace_beltrami
 
 
 @pytest.fixture

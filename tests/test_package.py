@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ from acgf import cli, runio
 
 SOURCES = Path(acgf.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_star_import_binds_every_exported_name():
@@ -41,6 +43,39 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCES.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unreferenced_functions(sources, hooked):
+    """Top-level functions of ``sources`` (module name -> text) that no code names, nor ``hooked``.
+
+    A function counts as named where a name or an attribute of that spelling is read,
+    in any module; its ``def`` line and ``__all__`` strings do not count.
+    """
+    defined, named = [], set(hooked)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in named)
+
+
+def test_unreferenced_functions_are_found():
+    sources = {"a.py": "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\n",
+               "b.py": "import a\n__all__ = ['f']\nclass C:\n    def m(self):\n        a.k\n"}
+    assert unreferenced_functions(sources, {"h"}) == ["a.py:f"]
+
+
+def test_every_library_function_is_called_or_hooked_by_the_benchmark():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    hooked = {hook.attr for hook in spans.HOOKS} | set(spans.POTENTIAL_METHODS)
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SOURCES.glob("*.py"))}
+    assert unreferenced_functions(sources, hooked) == []
 
 
 def unknown_readme_flags(readme):
