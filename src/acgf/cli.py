@@ -72,7 +72,7 @@ def _build_parser():
     sp = sub.add_parser("sweep-eps", help="boundary-diffusion sweep toward a reference")
     common(sp)
     sp.add_argument("--eps-list", required=True, help="comma-separated values toward eps0")
-    sp.add_argument("--eps0", type=float, required=True)
+    sp.add_argument("--eps0", required=True)
 
     sp = sub.add_parser("sweep-reg", help="smoothing sweep over (delta, lambda) pairs")
     common(sp)
@@ -118,11 +118,12 @@ def main(argv=None):
             return 0
 
         if args.command == "sweep-eps":
+            eps0 = _real(args.eps0, "--eps0")
             eps_list = _parse_floats(args.eps_list, "--eps-list")
             p = cfg.build_energy_params()
-            _check_members(p, "--eps0", [{"eps": args.eps0}])
+            _check_members(p, "--eps0", [{"eps": eps0}])
             _check_members(p, "--eps-list", [{"eps": e} for e in eps_list])
-            report = experiments.sweep_epsilon(cfg, eps_list, args.eps0)
+            report = experiments.sweep_epsilon(cfg, eps_list, eps0)
         elif args.command == "sweep-reg":
             pairs = _parse_pairs(args.pairs)
             _check_members(cfg.build_energy_params(), "--pairs",

@@ -18,7 +18,12 @@ so boundary nodes contribute to both sums with their respective weights.
 Per-cell gradients are the gradients of the least-squares affine fit of
 the corner values against the corner coordinates: this annihilates
 constants and reproduces every globally affine field exactly on both
-mesh kinds.
+mesh kinds. On the disc the fit has a closed form. With a cell's corner
+offsets (x, y) from its centroid, the fit to corner values u has gradient
+M^-1 [x y]^T u, where M = [[a, b], [b, c]] is the normal matrix with
+a = sum x^2, b = sum x y and c = sum y^2. Writing out its inverse
+[[c, -b], [-b, a]] / (ac - b^2) gives the cell operator
+[c x - b y, a y - b x] / (ac - b^2), computed for all cells at once.
 
 Nodes are numbered ring by ring, so the energy Hessian is a band. Its
 storage order ``band_order`` (the identity on the interval; on the disc
@@ -133,7 +138,9 @@ class _Mesh:
         weighted = ops * self.cell_weights
         table = weighted[ap]
         table *= ops[bq]
-        table[off] += weighted[bp] * ops[aq]
+        second = weighted[bp]  # multiplied in place: numpy reuses temporaries only above 256 KiB
+        second *= ops[aq]
+        table[off] += second
         return table.reshape(len(PACKED[self.dim][0]), -1, len(self.cell_ops))
 
 
@@ -232,18 +239,24 @@ class DiscMesh(_Mesh):
 
 
 def _affine_fit_ops(coords, cell_nodes):
-    """Per-cell linear maps sending corner values to the LSQ-affine gradient."""
-    P = coords[cell_nodes]  # (nc, k, 2)
-    D = P - P.mean(axis=1, keepdims=True)
-    M = np.einsum("nkd,nke->nde", D, D)
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    Minv = np.empty_like(M)
-    Minv[:, 0, 0] = M[:, 1, 1]
-    Minv[:, 1, 1] = M[:, 0, 0]
-    Minv[:, 0, 1] = -M[:, 0, 1]
-    Minv[:, 1, 0] = -M[:, 1, 0]
-    Minv /= det[:, None, None]
-    return np.einsum("nde,nke->ndk", Minv, D)
+    """Per-cell linear maps sending corner values to the LSQ-affine gradient, shape (nc, 2, k)."""
+    x, y = coords[:, 0][cell_nodes.T], coords[:, 1][cell_nodes.T]  # (k, nc): one row per corner
+    x -= _corner_sum(x) / len(x)  # corner offsets from the centroid
+    y -= _corner_sum(y) / len(y)
+    a, b, c = _corner_sum(x * x), _corner_sum(x * y), _corner_sum(y * y)
+    det = a * c - b * b
+    a /= det
+    b /= det
+    c /= det
+    ops = np.empty((cell_nodes.shape[0], 2, cell_nodes.shape[1]))
+    ops[:, 0] = (c * x - b * y).T
+    ops[:, 1] = (a * y - b * x).T
+    return ops
+
+
+def _corner_sum(rows):
+    """rows[0] + rows[1] + ... in that order, the order numpy reduces a short axis in, but faster."""
+    return sum(rows[1:], rows[0])
 
 
 def _check_field(mesh, u, what="field"):

@@ -3,13 +3,16 @@
 All files are written atomically (temp file in the target directory,
 then rename), so an interrupted run never leaves a partial file at the
 final path. Reals are serialized with 17 significant digits and '.'
-decimal, which round-trips float64 bit-exactly.
+decimal, which round-trips float64 bit-exactly. A snapshot read back as an
+initial state is parsed a column at a time; its checks run in the order
+``read_snapshot_values`` lists, so the first faulty row is the one reported.
 """
 
 import json
-import math
 import os
+import re
 import tempfile
+from itertools import repeat
 
 import numpy as np
 
@@ -22,6 +25,7 @@ TRACE_HEADER = (
 )
 
 SNAPSHOT_HEADER = "node_id,x,y,is_boundary,value"
+_DIGIT_RUNS = re.compile(r"(?:[0-9]+,)*")  # leading comma-closed runs of ASCII digits
 
 
 def fmt(x):
@@ -54,51 +58,91 @@ def trace_to_csv(trace):
 
 def _row_prefixes(mesh):
     """The ``node_id,x,y,is_boundary,`` start of every snapshot row; it depends on the mesh alone."""
-    return [f"{i},{fmt(x)},{fmt(y)},{int(b)},"
-            for i, ((x, y), b) in enumerate(zip(mesh.coords.tolist(), mesh.is_boundary.tolist()))]
+    x, y = mesh.coords.T.tolist()
+    return list(map("%d,%.17g,%.17g,%d,".__mod__,
+                    zip(range(mesh.num_nodes), x, y, mesh.is_boundary.tolist())))
 
 
 def _snapshot_csv(prefixes, values):
-    rows = [pre + format(v, ".17g") for pre, v in zip(prefixes, np.asarray(values, float).tolist())]
-    return "\n".join([SNAPSHOT_HEADER] + rows) + "\n"
+    rows = map("%s%.17g\n".__mod__, zip(prefixes, np.asarray(values, float).tolist()))
+    return SNAPSHOT_HEADER + "\n" + "".join(rows)
 
 
 def read_snapshot_values(path, expected_nodes):
     """Read the value column of a snapshot CSV, ordered by node id.
 
-    Every row must carry an integer node id of this mesh, once, and a finite value.
+    Rows are the stripped non-blank lines after the header. Every row must
+    carry an integer node id of this mesh, once, and a finite value. The id and
+    value columns are parsed whole and checked in this order:
+
+    1. the row has 5 comma-separated fields;
+    2. its node id is a run of ASCII digits;
+    3. float() reads its value, which holds no "_" and no non-ASCII character;
+    4. its node id is below ``expected_nodes``;
+    5. its value is finite;
+    6. no earlier row carries its node id.
+
+    Each check looks only at the rows before the earliest fault found so far,
+    so a faulty file is reported at its first faulty row, with that row's
+    first fault.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"initial.path: cannot read {path}: {e}") from e
     if not lines or not lines[0].startswith("node_id"):
         raise ConfigError(f"initial.path: {path} is not a snapshot CSV")
-    values = [None] * expected_nodes
-    for k, ln in enumerate(lines[1:], 2):  # k counts non-blank rows, the header is row 1
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise _row_error(path, k, ln, "expected 5 comma-separated fields")
-        if not (parts[0].isascii() and parts[0].isdecimal()):  # int() takes "+3", "1_0", "٣"
-            raise _row_error(path, k, ln, "node_id must be a non-negative integer")
-        idx = int(parts[0])
-        try:
-            if not parts[4].isascii() or "_" in parts[4]:  # float() takes "0_5" and "１.5"
-                raise ValueError
-            value = float(parts[4])
-        except ValueError:
-            raise _row_error(path, k, ln, "value must be a number") from None
-        if idx >= expected_nodes:
-            raise _row_error(path, k, ln, f"node id {idx} out of range for this mesh")
-        if not math.isfinite(value):
-            raise _row_error(path, k, ln, "value must be finite")
-        if values[idx] is not None:
-            raise _row_error(path, k, ln, f"node id {idx} appears twice")
-        values[idx] = value
-    if len(lines) - 1 < expected_nodes:  # every row has filled a distinct node
+    rows = lines[1:]
+    end, why = len(rows), None  # rows before the earliest fault, and that fault's message
+
+    def check(k, message):
+        """Record a fault at row k (0 = first row after the header) if it is the earliest."""
+        nonlocal end, why
+        if k < end:
+            end, why = k, message
+
+    check(_first(np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) != 4),
+          lambda k: "expected 5 comma-separated fields")
+    fields = ",".join(rows[:end]).split(",")
+    ids, text = fields[0::5][:end], fields[4::5][:end]
+    joined = ",".join(ids) + ","  # int() also takes "+3", "1_0" and "٣"
+    check(joined.count(",", 0, _DIGIT_RUNS.match(joined).end()),
+          lambda k: "node_id must be a non-negative integer")
+    # float() also takes "0_5" and non-ASCII digits such as "１.5"; it refuses each such
+    # character turned into "?"
+    text = ",".join(text[:end]).encode("ascii", "replace").replace(b"_", b"?").decode().split(",")
+    values = []
+    try:
+        values.extend(map(float, text[:end]))
+    except ValueError:  # values holds the rows parsed before the failing one
+        check(len(values), lambda k: "value must be a number")
+    digits = ids[:end]
+    width = len(str(expected_nodes))  # an id of more significant digits is out of range
+    for k in np.flatnonzero(np.fromiter(map(len, digits), np.intp, len(digits)) > width):
+        digits[k] = digits[k].lstrip("0")[:width + 1] or "0"
+    idx = np.fromiter(map(int, digits), np.intp, len(digits))
+    check(_first(idx >= expected_nodes),
+          lambda k: f"node id {ids[k].lstrip('0') or '0'} out of range for this mesh")
+    values = np.array(values[:end], dtype=float)
+    check(_first(~np.isfinite(values)), lambda k: "value must be finite")
+    idx = idx[:end]
+    repeated = np.ones(end, dtype=bool)
+    repeated[np.unique(idx, return_index=True)[1]] = False
+    check(_first(repeated), lambda k: f"node id {idx[k]} appears twice")
+    if why is not None:
+        raise _row_error(path, end + 2, rows[end], why(end))  # the header is row 1
+    if len(rows) < expected_nodes:  # every row has filled a distinct node
         raise ConfigError(f"initial.path: {path} does not cover every node of this mesh")
-    return np.array(values)
+    out = np.empty(expected_nodes)
+    out[idx] = values
+    return out
+
+
+def _first(bad):
+    """Index of the first true entry of bad, or its length if there is none."""
+    hit = np.flatnonzero(bad)
+    return int(hit[0]) if hit.size else len(bad)
 
 
 def _row_error(path, k, ln, why):

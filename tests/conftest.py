@@ -8,7 +8,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from acgf.energy import _grad_partial
+from acgf.errors import ConfigError
 from acgf.meshes import _check_field
+from acgf.runio import _row_error
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -98,6 +100,59 @@ def coordinate_descent_prox_oracle(mesh, p, tau, uprev, theta=None, grad_tol=1e-
         if max(abs(partial(v, i)) for i in range(n + 1)) <= grad_tol:
             return np.array(v)
     raise AssertionError("oracle did not reach the requested gradient tolerance")
+
+
+def einsum_affine_fit_ops(coords, cell_nodes):
+    """Reference cell operators: einsum products with each cell's explicit 2 x 2 inverse."""
+    P = coords[cell_nodes]  # (nc, k, 2)
+    D = P - P.mean(axis=1, keepdims=True)
+    M = np.einsum("nkd,nke->nde", D, D)
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    Minv = np.empty_like(M)
+    Minv[:, 0, 0] = M[:, 1, 1]
+    Minv[:, 1, 1] = M[:, 0, 0]
+    Minv[:, 0, 1] = -M[:, 0, 1]
+    Minv[:, 1, 0] = -M[:, 1, 0]
+    Minv /= det[:, None, None]
+    return np.einsum("nde,nke->ndk", Minv, D)
+
+
+def per_row_snapshot_values(path, expected_nodes):
+    """Reference snapshot reader: every check of a row before the next row is read.
+
+    Raises ValueError on a node id of more digits than int() converts.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"initial.path: cannot read {path}: {e}") from e
+    if not lines or not lines[0].startswith("node_id"):
+        raise ConfigError(f"initial.path: {path} is not a snapshot CSV")
+    values = [None] * expected_nodes
+    for k, ln in enumerate(lines[1:], 2):  # k counts non-blank rows, the header is row 1
+        parts = ln.split(",")
+        if len(parts) != 5:
+            raise _row_error(path, k, ln, "expected 5 comma-separated fields")
+        if not (parts[0].isascii() and parts[0].isdecimal()):  # int() takes "+3", "1_0", "٣"
+            raise _row_error(path, k, ln, "node_id must be a non-negative integer")
+        idx = int(parts[0])
+        try:
+            if not parts[4].isascii() or "_" in parts[4]:  # float() takes "0_5" and "１.5"
+                raise ValueError
+            value = float(parts[4])
+        except ValueError:
+            raise _row_error(path, k, ln, "value must be a number") from None
+        if idx >= expected_nodes:
+            raise _row_error(path, k, ln, f"node id {idx} out of range for this mesh")
+        if not math.isfinite(value):
+            raise _row_error(path, k, ln, "value must be finite")
+        if values[idx] is not None:
+            raise _row_error(path, k, ln, f"node id {idx} appears twice")
+        values[idx] = value
+    if len(lines) - 1 < expected_nodes:  # every row has filled a distinct node
+        raise ConfigError(f"initial.path: {path} does not cover every node of this mesh")
+    return np.array(values)
 
 
 def key_paths(node, prefix=()):

@@ -23,7 +23,7 @@ from acgf.config import config_from_dict, load_config
 from acgf.errors import ConfigError
 from acgf.meshes import MAX_MESH_BYTES, DiscMesh, IntervalMesh
 from acgf.runio import fmt, read_snapshot_values
-from conftest import json_values, key_paths
+from conftest import json_values, key_paths, per_row_snapshot_values
 
 BASE = {
     "mesh": {"kind": "interval", "L": 1.0, "n": 16},
@@ -210,8 +210,9 @@ class TestRun:
         (5, "3,0,0,0,0_5", "value must be a number"),
         (5, "3,0,0,0,\uff11.5", "value must be a number"),
         (5, "\u0663,0,0,0,0.5", "node_id must be a non-negative integer"),
+        (5, "1" + "0" * 5000 + ",0,0,0,0.5", f"node id 1{'0' * 5000} out of range for this mesh"),
     ], ids=["fractional-id", "underscored-id", "text-value", "inf", "nan", "duplicate-id",
-            "underscored-value", "fullwidth-value", "arabic-indic-id"])
+            "underscored-value", "fullwidth-value", "arabic-indic-id", "id-beyond-int-digits"])
     def test_malformed_snapshot_row_rejected(self, tmp_path, capsys, line, row, message):
         snap = tmp_path / "snap.csv"
         snap.write_text("\n".join(SNAPSHOT_ROWS[:line - 1] + [row] + SNAPSHOT_ROWS[line:]) + "\n")
@@ -396,7 +397,11 @@ class TestSweepCommands:
          "--pairs: expected a finite real, got '\uff10.5'"),
         ("probe-mosco", ["--deltas", "0.5,\u0660.25"],
          "--deltas: expected a finite real, got '\u0660.25'"),
-    ], ids=["eps-list", "magnitudes", "pairs", "deltas"])
+        ("sweep-eps", ["--eps-list", "0.5", "--eps0", "0_5"],
+         "--eps0: expected a finite real, got '0_5'"),
+        ("sweep-eps", ["--eps-list", "0.5", "--eps0", "\uff10.5"],
+         "--eps0: expected a finite real, got '\uff10.5'"),
+    ], ids=["eps-list", "magnitudes", "pairs", "deltas", "eps0-separator", "eps0-fullwidth"])
     def test_digit_separator_or_non_ascii_digit_rejected(self, tmp_path, capsys, command, args,
                                                         message):
         # float() reads "0_8" as 8 and "\uff10.5" (a fullwidth zero) as 0.5
@@ -412,7 +417,7 @@ class TestSweepCommands:
         ("sweep-eps", ["--eps-list", "1e200", "--eps0", "0"],
          "--eps-list: eps must be nonnegative with a finite square, got 1e+200"),
         ("sweep-eps", ["--eps-list", "0.5", "--eps0", "inf"],
-         "--eps0: eps must be nonnegative with a finite square, got inf"),
+         "--eps0: expected a finite real, got 'inf'"),
     ])
     def test_every_member_checked_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                    command, args, message):
@@ -478,8 +483,10 @@ def test_sweep_reports_are_byte_stable(tmp_path):
                          ids=["interval", "disc"])
 def test_snapshot_bytes_match_per_row_formatting(tmp_path, mesh):
     rng = np.random.default_rng(7)
+    extremes = np.resize([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+                         mesh.num_nodes)
     snapshots = [(0, rng.uniform(-1.0, 1.0, mesh.num_nodes)),
-                 (3, rng.standard_normal(mesh.num_nodes) * 1e-300)]
+                 (3, rng.standard_normal(mesh.num_nodes) * 1e-300), (5, extremes)]
     acgf.runio.write_run_outputs(str(tmp_path), mesh, {}, [], snapshots)
     for step, values in snapshots:
         rows = ["node_id,x,y,is_boundary,value"] + [
@@ -488,6 +495,67 @@ def test_snapshot_bytes_match_per_row_formatting(tmp_path, mesh):
             for i in range(mesh.num_nodes)]
         expected = ("\n".join(rows) + "\n").encode("utf-8")
         assert (tmp_path / f"snapshot_{step:06d}.csv").read_bytes() == expected
+
+
+ID_FAULTS = ["+3", "1_0", "\u0663", "3.0", " 3", "3\x85", "1" + "0" * 25]
+VALUE_FAULTS = ["0_5", "\uff11.5", "nan", "inf", "-inf", "1e999", "half", "", "0.5\x0b1"]
+LINE_ENDS = ["\n", "\n", "\r\n", "\r"]
+PADDING = ["", "", " ", "\t", "\x0b", "\x85"]
+
+
+@st.composite
+def faulty_snapshots(draw):
+    """(text, node count) of a snapshot CSV whose rows carry randomly injected faults."""
+    n = draw(st.integers(3, 10))
+    rows = [[str(i), "0", "0", "0", "%.17g" % draw(st.floats(allow_nan=False, allow_infinity=False))]
+            for i in draw(st.permutations(range(n)))]
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        row = rows[k]
+        fault = draw(st.sampled_from(["fields", "id", "range", "duplicate", "value", "padding"]))
+        if fault == "fields":
+            rows[k] = draw(st.sampled_from([row[:4], row + ["0"], row[:1]]))
+        elif fault == "id":
+            row[0] = draw(st.sampled_from(ID_FAULTS))
+        elif fault == "range":
+            row[0] = draw(st.sampled_from([str(n), str(n + 7), "00" + row[0], "0" * 30 + str(n)]))
+        elif fault == "duplicate":
+            row[0] = rows[draw(st.integers(0, n - 1))][0]
+        elif fault == "value":
+            row[-1] = draw(st.sampled_from(VALUE_FAULTS))
+        else:
+            row[draw(st.sampled_from([0, -1]))] += draw(st.sampled_from(["\x0b", "\x85"]))
+    if draw(st.booleans()):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    lines = ["node_id,x,y,is_boundary,value"] + [",".join(r) for r in rows]
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if draw(st.integers(0, 3)) == 0:  # str.splitlines() ends a line here, a file does not
+        ends[draw(st.integers(0, len(ends) - 1))] = draw(st.sampled_from(["\x0b", "\x85"]))
+    text = ""
+    for line, end in zip(lines, ends):
+        if draw(st.integers(0, 4)) == 0:  # a blank line
+            text += draw(st.sampled_from(PADDING)) + draw(st.sampled_from(LINE_ENDS))
+        pad = st.sampled_from(PADDING)
+        text += draw(pad) + line + draw(pad) + end
+    return text, n
+
+
+def read_outcome(read, path, nodes):
+    try:
+        return read(path, nodes).tobytes()
+    except ConfigError as e:
+        return str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_snapshots())
+def test_snapshot_reader_agrees_with_the_per_row_reader(case):
+    text, nodes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snap.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert (read_outcome(read_snapshot_values, path, nodes)
+                == read_outcome(per_row_snapshot_values, path, nodes))
 
 
 def test_fmt_round_trips_float64():
