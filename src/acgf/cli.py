@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: run, sweep-eps, sweep-reg, sweep-dep, probe-mosco. Every
+Subcommands: run, sweep-eps, sweep-reg, sweep-dep. Every
 subcommand takes --config PATH plus optional --out/--seed. Sweep members
 run one after another. Exit codes: 0 success, 1 numerical or verdict
 failure, 2 usage/configuration error.
@@ -82,11 +82,6 @@ def _build_parser():
     common(sp)
     sp.add_argument("--magnitudes", required=True, help="comma-separated descending magnitudes")
 
-    sp = sub.add_parser("probe-mosco", help="sampled convergence probe for the smoothings")
-    common(sp)
-    sp.add_argument("--deltas", default=None,
-                    help="comma-separated descending smoothing values (default: 2^-1..2^-12)")
-
     return parser
 
 
@@ -129,27 +124,9 @@ def main(argv=None):
             _check_members(cfg.build_energy_params(), "--pairs",
                            [{"delta": d, "lam": lam} for d, lam in pairs])
             report = experiments.sweep_regularization(cfg, pairs)
-        elif args.command == "sweep-dep":
+        else:  # sweep-dep
             mags = _parse_floats(args.magnitudes, "--magnitudes")
             report = experiments.continuous_dependence_probe(cfg, mags)
-        else:  # probe-mosco
-            if args.deltas is not None:
-                deltas = _parse_floats(args.deltas, "--deltas")
-            else:
-                deltas = [2.0 ** (-k) for k in range(1, 13)]
-            p = cfg.build_energy_params()
-            _check_members(p, "--deltas", [{"delta": d} for d in deltas])
-            mesh_dim = 2 if cfg.mesh["kind"] == "disc" else 1
-            probe = experiments.mosco_probe(deltas, potential=p.bulk_potential,
-                                            dim=mesh_dim)
-            runio.write_probe_report(outdir, probe, echo)
-            if not probe["passed"]:
-                failed = [k for k, v in probe.items()
-                          if isinstance(v, dict) and "holds" in v and not v["holds"]]
-                print(f"probe-mosco: FAILED checks: {', '.join(failed)}", file=sys.stderr)
-                return 1
-            print(f"probe-mosco: pass -> {outdir}")
-            return 0
 
         runio.write_sweep_report(outdir, report, echo)
         if not report.passed:

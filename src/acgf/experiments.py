@@ -1,21 +1,17 @@
 """Desk-scale studies that put the solver's qualitative guarantees on trial.
 
-Four probes are provided: a sweep over the boundary-diffusion strength
+Three probes are provided: a sweep over the boundary-diffusion strength
 (solutions should approach the reference run as the parameter does), a
 sweep over the smoothing pair (delta, lambda) (successive solutions
 should form a Cauchy-like sequence while the smoothed energy climbs to
-the exact one), a continuous-dependence probe (perturbation response
-ratios must stay under a Gronwall-type envelope), and a sampled
-convergence probe for the smoothing families themselves.
+the exact one), and a continuous-dependence probe (perturbation response
+ratios must stay under a Gronwall-type envelope).
 
-The three flow probes build their configuration once each and derive
-every member from it (``EnergyParams.replace`` or shifted data); every
-member runs through ``_states``, the one call of ``run_flow`` here. A
-report passes iff all of its verdicts hold.
-
-Every probe is deterministic given the configuration seed. A probe of
-this kind can only refute an assertion that quantifies over infinitely
-many sequences; see LIMITATION_NOTE.
+Each probe builds its configuration once and derives every member from
+it (``EnergyParams.replace`` or shifted data); every member runs through
+``_states``, the one call of ``run_flow`` here. A report passes iff all
+of its verdicts hold. Every probe is deterministic given the
+configuration seed.
 """
 
 import math
@@ -27,13 +23,6 @@ from .energy import phi_exact, phi_regularized
 from .errors import ConfigError
 from .flow import run_flow
 from .meshes import bulk_gradient, h_norm, surface_gradient
-from .norms import SmoothedNorm
-
-LIMITATION_NOTE = (
-    "The lower-bound condition quantifies over all weakly convergent "
-    "sequences; this probe evaluates finitely many strongly convergent "
-    "sample sequences, so it can refute the condition but never prove it."
-)
 
 
 @dataclass
@@ -248,88 +237,3 @@ def continuous_dependence_probe(cfg, magnitudes):
         np.array_equal(a, b) for a, b in zip(base, again))
     return report
 
-
-def mosco_probe(delta_list, sample_points=None, sample_sequences=None,
-                potential=None, scalar_points=None, dim=2):
-    """Sampled convergence checks for the smoothing families.
-
-    For the smoothed norms: every provided strongly convergent sequence
-    must satisfy the lower-bound inequality within 1e-8 slack (estimated
-    on the tail), and the constant recovery sequence must close the gap
-    to the limit norm. For a well potential: the envelopes at the same
-    parameters must climb monotonically to the exact value, within the
-    classical gap bound (lam/2) * slope^2 at each sampled interior point.
-    """
-    deltas = np.asarray([float(d) for d in delta_list], dtype=float)
-    if deltas.size == 0 or np.any(deltas <= 0.0):
-        raise ConfigError("delta_list must be nonempty and positive")
-    if np.any(np.diff(deltas) >= 0.0):
-        raise ConfigError("delta_list must strictly descend")
-    n = deltas.size
-
-    if sample_points is None:
-        if dim == 2:
-            sample_points = [(0.0, 0.0), (3.0, 4.0), (-2.0, 0.0), (0.5, -0.25)]
-        else:
-            sample_points = [(0.0,), (2.0,), (-0.75,)]
-    if sample_sequences is None:
-        # outward radial drift |w_n| = |w| + 1/n keeps the finite-tail
-        # lower-bound estimate sound; the origin gets the exact constant
-        sample_sequences = []
-        ns = np.arange(1, n + 1)[:, None]
-        for pt in sample_points:
-            pt = np.asarray(pt, dtype=float)
-            r = np.linalg.norm(pt)
-            terms = pt + (pt / r) / ns if r > 0 else np.tile(pt, (n, 1))
-            sample_sequences.append({"limit": pt, "terms": terms})
-
-    report = {"delta_list": deltas.tolist(), "limitation": LIMITATION_NOTE}
-
-    worst_rec = 0.0
-    for pt in sample_points:
-        pt = np.asarray(pt, dtype=float)
-        target = float(np.linalg.norm(pt))
-        vals = np.array([SmoothedNorm(d, pt.size).eval(pt) for d in deltas])
-        worst_rec = max(worst_rec, float(np.max(np.abs(vals - target) - deltas)))
-    report["recovery"] = {"worst_excess_over_delta_band": worst_rec,
-                          "holds": worst_rec <= 1e-12}
-
-    worst_lb = 0.0
-    for seq in sample_sequences:
-        limit = np.asarray(seq["limit"], dtype=float)
-        terms = np.asarray(seq["terms"], dtype=float)
-        if terms.shape[0] != n:
-            raise ConfigError("each sequence needs one term per delta")
-        vals = np.array([SmoothedNorm(d, limit.size).eval(t)
-                         for d, t in zip(deltas, terms)])
-        tail = vals[max(0, n - max(1, n // 4)):]
-        worst_lb = max(worst_lb, float(np.linalg.norm(limit) - np.min(tail)))
-    report["lower_bound"] = {"worst_slack": worst_lb, "holds": worst_lb <= 1e-8}
-
-    if potential is not None:
-        if scalar_points is None:
-            lo = max(potential.lo, -10.0)
-            hi = min(potential.hi, 10.0)
-            scalar_points = list(lo + (hi - lo) * np.linspace(0.15, 0.85, 5))
-        worst_gap_excess = -np.inf
-        monotone = True
-        for r in scalar_points:
-            br = potential.value(r)
-            sl = potential.minimal_section(r)
-            envs = np.array([potential.envelope(d, r) for d in deltas])
-            monotone = monotone and bool(
-                np.all(np.diff(envs) >= -1e-12 * (1.0 + np.abs(envs[:-1])))
-            )
-            bound = 0.5 * deltas * sl * sl + 1e-12
-            worst_gap_excess = max(worst_gap_excess, float(np.max((br - envs) - bound)))
-        report["envelope_recovery"] = {
-            "worst_gap_excess": worst_gap_excess,
-            "monotone": monotone,
-            "holds": monotone and worst_gap_excess <= 0.0,
-        }
-
-    report["passed"] = all(
-        section["holds"] for key, section in report.items()
-        if isinstance(section, dict) and "holds" in section
-    )
-    return report

@@ -17,8 +17,7 @@ Every kind has a closed-form prox and an exact a.e. derivative of its
 Yosida slope. ``moreau`` returns the envelope, the Yosida slope and its
 derivative together from one prox, which is what the energy reads per
 side of the field; ``envelope``, ``yosida`` and ``yosida_derivative`` each
-take one part of it, and ``minimal_section`` is the least-norm
-subgradient. For a tabulated well with breakpoints t_i and segment
+take one part of it. For a tabulated well with breakpoints t_i and segment
 slopes s_i the prox is itself piecewise linear in r (Parikh & Boyd,
 *Proximal Algorithms*, 2014, sec. 6): it rests on t_i for r in
 [t_i + lam*s_{i-1}, t_i + lam*s_i] and is r - lam*s_i in between.
@@ -95,10 +94,6 @@ class ScalarConvexPotential:
         arr, scalar = _as_array(r)
         return _restore(np.clip(arr, self.lo, self.hi), scalar)
 
-    def minimal_section(self, r):
-        """Least-norm element of the subdifferential at r; nan outside the domain."""
-        raise NotImplementedError
-
     def same_domain(self, other):
         return self.lo == other.lo and self.hi == other.hi
 
@@ -145,17 +140,6 @@ class _Indicator(ScalarConvexPotential):
         outside = (arr < self.lo) | (arr > self.hi)
         return d * d / (2.0 * lam), d / lam, np.where(outside, 1.0 / lam, 0.0)
 
-    def minimal_section(self, r):
-        # Shipped convention: 0 on the interior, +-inf at the endpoints,
-        # undefined (nan) outside. The Mosco probe samples the interior
-        # only, where this is the exact least-norm selection.
-        arr, scalar = _as_array(r)
-        out = np.zeros_like(arr)
-        out = np.where(arr == self.lo, -np.inf, out)
-        out = np.where(arr == self.hi, np.inf, out)
-        out = np.where((arr < self.lo) | (arr > self.hi), np.nan, out)
-        return _restore(out, scalar)
-
 
 class _Quadratic(ScalarConvexPotential):
     kind = "quadratic"
@@ -178,10 +162,6 @@ class _Quadratic(ScalarConvexPotential):
         k = 1.0 + lam * self.c
         return (0.5 * self.c * arr * arr / k, (arr - self._prox(lam, arr)) / lam,
                 np.full_like(arr, self.c / k))
-
-    def minimal_section(self, r):
-        arr, scalar = _as_array(r)
-        return _restore(self.c * arr, scalar)
 
 
 class _Tabulated(ScalarConvexPotential):
@@ -216,15 +196,6 @@ class _Tabulated(ScalarConvexPotential):
         out = np.where(inside, np.interp(arr, self.ts, self.bs), np.inf)
         return _restore(out, scalar)
 
-    def _slope_right(self, t):
-        # slope of the segment to the right of t; last slope at/after hi
-        idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.slopes) - 1)
-        return self.slopes[idx]
-
-    def _slope_left(self, t):
-        idx = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.slopes) - 1)
-        return self.slopes[idx]
-
     def _segment_shift(self, lam, arr):
         # The prox of r lies in segment i, where i counts the segment ends
         # t_{i+1} + lam*s_i at or below r; unclamped it is r - lam*s_i.
@@ -246,14 +217,6 @@ class _Tabulated(ScalarConvexPotential):
         moving = (q >= left) & (q < right)
         return (d * d / (2.0 * lam) + np.interp(p, self.ts, self.bs), d / lam,
                 np.where(moving, 0.0, 1.0 / lam))
-
-    def minimal_section(self, r):
-        arr, scalar = _as_array(r)
-        s_lo = np.where(arr <= self.lo, -np.inf, self._slope_left(arr))
-        s_hi = np.where(arr >= self.hi, np.inf, self._slope_right(arr))
-        out = np.where(s_lo > 0.0, s_lo, np.where(s_hi < 0.0, s_hi, 0.0))
-        out = np.where((arr < self.lo) | (arr > self.hi), np.nan, out)
-        return _restore(out, scalar)
 
 
 def indicator(lo=-1.0, hi=1.0):

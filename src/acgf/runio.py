@@ -182,10 +182,3 @@ def write_sweep_report(outdir, report, cfg_echo):
         lines.append(f"{label},{fmt(e_h)},{fmt(e_v0)},{overall}")
     atomic_write_text(os.path.join(outdir, "summary.csv"), "\n".join(lines) + "\n")
 
-
-def write_probe_report(outdir, report, cfg_echo):
-    os.makedirs(outdir, exist_ok=True)
-    payload = dict(report)
-    payload["config"] = cfg_echo
-    atomic_write_text(os.path.join(outdir, "report.json"),
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")

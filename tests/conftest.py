@@ -29,12 +29,39 @@ def laplace_beltrami(mesh, u):
     return (np.roll(ub, 1) - 2.0 * ub + np.roll(ub, -1)) / mesh.seg_len**2
 
 
+def subdifferential(pot, p):
+    """Ends (left, right) of the tabulated well pot's subdifferential interval at p in its domain.
+
+    They are the slopes of the segments to the left and to the right of p,
+    with -inf at lo and +inf at hi.
+    """
+    last = len(pot.slopes) - 1
+    left = pot.slopes[np.clip(np.searchsorted(pot.ts, p, side="left") - 1, 0, last)]
+    right = pot.slopes[np.clip(np.searchsorted(pot.ts, p, side="right") - 1, 0, last)]
+    return np.where(p <= pot.lo, -np.inf, left), np.where(p >= pot.hi, np.inf, right)
+
+
 def optimality_residual(pot, lam, r, p):
     """Distance of (r - p)/lam from the subdifferential interval of the tabulated well pot at p."""
     g = (np.asarray(r, dtype=float) - p) / lam
-    s_lo = np.where(p <= pot.lo, -np.inf, pot._slope_left(p))
-    s_hi = np.where(p >= pot.hi, np.inf, pot._slope_right(p))
+    s_lo, s_hi = subdifferential(pot, p)
     return np.maximum(np.maximum(s_lo - g, g - s_hi), 0.0)
+
+
+def least_norm_subgradient(pot, r):
+    """The least-norm subgradient of the well pot at r, nan outside its domain.
+
+    An indicator's is 0 inside and, by convention, -inf and +inf at lo and hi.
+    """
+    arr = np.asarray(r, dtype=float)
+    if pot.kind == "indicator":
+        out = np.where(arr == pot.lo, -np.inf, np.where(arr == pot.hi, np.inf, 0.0))
+    elif pot.kind == "quadratic":
+        out = pot.c * arr
+    else:
+        s_lo, s_hi = subdifferential(pot, arr)
+        out = np.where(s_lo > 0.0, s_lo, np.where(s_hi < 0.0, s_hi, 0.0))
+    return np.where((arr < pot.lo) | (arr > pot.hi), np.nan, out)[()]
 
 
 def coordinate_descent_prox_oracle(mesh, p, tau, uprev, theta=None, grad_tol=1e-10,

@@ -381,7 +381,7 @@ class TestSweepCommands:
         ("sweep-dep", ["--magnitudes", "nan"], "--magnitudes: expected a finite real, got 'nan'"),
         ("sweep-eps", ["--eps-list", "0.5,nan", "--eps0", "0.0"],
          "--eps-list: expected a finite real, got 'nan'"),
-        ("probe-mosco", ["--deltas", "0.5,-inf"], "--deltas: expected a finite real, got '-inf'"),
+        ("sweep-reg", ["--pairs", "0.5:-inf"], "--pairs: expected a finite real, got '-inf'"),
     ])
     def test_malformed_number_flag_rejected(self, tmp_path, capsys, command, args, message):
         cfg = write_cfg(tmp_path, DISC)
@@ -395,13 +395,14 @@ class TestSweepCommands:
         ("sweep-dep", ["--magnitudes", "0_1"], "--magnitudes: expected a finite real, got '0_1'"),
         ("sweep-reg", ["--pairs", "\uff10.5:0.5"],
          "--pairs: expected a finite real, got '\uff10.5'"),
-        ("probe-mosco", ["--deltas", "0.5,\u0660.25"],
-         "--deltas: expected a finite real, got '\u0660.25'"),
+        ("sweep-dep", ["--magnitudes", "0.1,\u0660.01"],
+         "--magnitudes: expected a finite real, got '\u0660.01'"),
         ("sweep-eps", ["--eps-list", "0.5", "--eps0", "0_5"],
          "--eps0: expected a finite real, got '0_5'"),
         ("sweep-eps", ["--eps-list", "0.5", "--eps0", "\uff10.5"],
          "--eps0: expected a finite real, got '\uff10.5'"),
-    ], ids=["eps-list", "magnitudes", "pairs", "deltas", "eps0-separator", "eps0-fullwidth"])
+    ], ids=["eps-list", "magnitudes", "pairs", "magnitudes-arabic-indic", "eps0-separator",
+            "eps0-fullwidth"])
     def test_digit_separator_or_non_ascii_digit_rejected(self, tmp_path, capsys, command, args,
                                                         message):
         # float() reads "0_8" as 8 and "\uff10.5" (a fullwidth zero) as 0.5
@@ -413,7 +414,8 @@ class TestSweepCommands:
     @pytest.mark.parametrize("command,args,message", [
         ("sweep-reg", ["--pairs", "2:0.5"], "--pairs: delta must lie in (0, 1], got 2.0"),
         ("sweep-reg", ["--pairs", "0.5:0.5,0.25:0"], "--pairs: lambda must lie in (0, 1], got 0.0"),
-        ("probe-mosco", ["--deltas", "3"], "--deltas: delta must lie in (0, 1], got 3.0"),
+        ("sweep-eps", ["--eps-list", "0.5", "--eps0", "-1"],
+         "--eps0: eps must be nonnegative with a finite square, got -1.0"),
         ("sweep-eps", ["--eps-list", "1e200", "--eps0", "0"],
          "--eps-list: eps must be nonnegative with a finite square, got 1e+200"),
         ("sweep-eps", ["--eps-list", "0.5", "--eps0", "inf"],
@@ -439,21 +441,12 @@ class TestSweepCommands:
         report = json.loads((tmp_path / "dep" / "report.json").read_text())
         assert report["verdicts"]["deterministic_baseline"]
 
-    def test_probe_mosco(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE)
-        out = str(tmp_path / "probe")
-        assert main(["probe-mosco", "--config", cfg, "--out", out]) == 0
-        report = json.loads((tmp_path / "probe" / "report.json").read_text())
-        assert report["passed"]
-        assert "refute" in report["limitation"]
-
 
 @pytest.mark.parametrize("command,args", [
     ("run", []),
     ("sweep-eps", ["--eps-list", "0.5", "--eps0", "0.0"]),
     ("sweep-reg", ["--pairs", "0.5:0.5,0.25:0.25"]),
     ("sweep-dep", ["--magnitudes", "0.1"]),
-    ("probe-mosco", ["--deltas", "0.5,0.25"]),
 ])
 def test_thread_count_is_not_a_setting(tmp_path, capsys, monkeypatch, command, args):
     monkeypatch.setenv("ACGF_THREADS", "0")
@@ -462,6 +455,13 @@ def test_thread_count_is_not_a_setting(tmp_path, capsys, monkeypatch, command, a
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     assert main(args) == 0
+
+
+def test_probe_mosco_is_not_a_command(tmp_path, capsys):
+    args = ["probe-mosco", "--config", write_cfg(tmp_path, DISC), "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert "invalid choice: 'probe-mosco'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_subcommand_is_usage_error():
@@ -638,7 +638,7 @@ FLAG_TEXT = (st.lists(NUMBER_TEXT | st.tuples(NUMBER_TEXT, NUMBER_TEXT).map(":".
                       max_size=4).map(",".join)
              | st.text(max_size=8))
 SWEEPS = [("sweep-eps", "--eps-list", ["--eps0", "0.0"]), ("sweep-reg", "--pairs", []),
-          ("sweep-dep", "--magnitudes", []), ("probe-mosco", "--deltas", [])]
+          ("sweep-dep", "--magnitudes", [])]
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,15 +9,12 @@ import acgf.experiments
 from acgf.config import RunConfig, config_from_dict
 from acgf.errors import ConfigError
 from acgf.experiments import (
-    LIMITATION_NOTE,
     continuous_dependence_probe,
-    mosco_probe,
     sweep_epsilon,
     sweep_regularization,
     v0_distance_sq,
 )
 from acgf.flow import run_flow
-from acgf.potentials import indicator, quadratic
 from acgf.runio import write_sweep_report
 
 
@@ -209,50 +206,6 @@ class TestContinuousDependence:
             continuous_dependence_probe(interval_cfg(), [0.01, 0.1])
         with pytest.raises(ConfigError):
             continuous_dependence_probe(interval_cfg(), [0.1, -0.01])
-
-
-class TestMoscoProbe:
-    def test_constant_sequence_at_origin(self):
-        deltas = [2.0 ** -k for k in range(1, 11)]
-        rep = mosco_probe(deltas, sample_points=[(0.0, 0.0)],
-                          sample_sequences=[{"limit": (0.0, 0.0),
-                                             "terms": np.zeros((10, 2))}])
-        assert rep["recovery"]["holds"] and rep["lower_bound"]["holds"]
-
-    def test_drifting_sequence_tail_estimate(self):
-        # omega_n = (3,4) + (1,1)/n with delta_n = 1/n over a log-spaced
-        # tail reaching n = 1e6: liminf >= 5 within 1e-8
-        ns = np.unique(np.logspace(0, 6, 120).astype(int))
-        deltas = 1.0 / ns
-        terms = np.array([[3.0, 4.0]]) + 1.0 / ns[:, None]
-        rep = mosco_probe(list(deltas), sample_points=[(3.0, 4.0)],
-                          sample_sequences=[{"limit": (3.0, 4.0), "terms": terms}])
-        assert rep["lower_bound"]["worst_slack"] <= 1e-8
-        assert rep["lower_bound"]["holds"]
-
-    def test_indicator_envelopes_vanish_inside(self):
-        deltas = [2.0 ** -k for k in range(1, 11)]
-        rep = mosco_probe(deltas, potential=indicator(-1, 1), scalar_points=[0.999])
-        assert rep["envelope_recovery"]["holds"]
-
-    def test_quadratic_gap_obeys_classical_bound(self):
-        deltas = [2.0 ** -k for k in range(1, 13)]
-        rep = mosco_probe(deltas, potential=quadratic(2.0),
-                          scalar_points=[-3.0, -0.5, 1.0, 2.5])
-        assert rep["envelope_recovery"]["holds"]
-        assert rep["passed"]
-
-    def test_limitation_note_is_verbatim(self):
-        rep = mosco_probe([0.5, 0.25])
-        assert rep["limitation"] == LIMITATION_NOTE
-
-    def test_delta_list_validated(self):
-        with pytest.raises(ConfigError):
-            mosco_probe([])
-        with pytest.raises(ConfigError):
-            mosco_probe([0.25, 0.5])
-        with pytest.raises(ConfigError):
-            mosco_probe([0.5, 0.0])
 
 
 def test_v0_distance_components():

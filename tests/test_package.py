@@ -100,7 +100,7 @@ def test_unknown_readme_flags_are_found():
 
 def test_every_flag_in_the_readme_command_block_is_accepted():
     found = unknown_readme_flags(README.read_text(encoding="utf-8"))
-    assert sorted(found) == ["probe-mosco", "run", "sweep-dep", "sweep-eps", "sweep-reg"]
+    assert sorted(found) == ["run", "sweep-dep", "sweep-eps", "sweep-reg"]
     assert {command: flags for command, flags in found.items() if flags} == {}
 
 

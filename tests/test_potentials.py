@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from acgf.config import config_from_dict
 from acgf.errors import ConfigError
 from acgf.potentials import indicator, quadratic, tabulated
-from conftest import optimality_residual
+from conftest import least_norm_subgradient, optimality_residual
 
 
 def grid_prox_oracle(pot, lam, r, lo=-10.0, hi=10.0):
@@ -200,7 +200,7 @@ class TestYosida:
         pot = quadratic(2.0)
         rs = np.linspace(-5, 5, 21)
         ys = np.abs(np.asarray(pot.yosida(0.1, rs)))
-        ms = np.abs(np.asarray(pot.minimal_section(rs)))
+        ms = np.abs(least_norm_subgradient(pot, rs))
         assert np.all(ys <= ms + 1e-14)
 
 
@@ -261,6 +261,21 @@ class TestMoreau:
             assert all(type(x) is float for x in got)
             assert got == tuple(float(x[i]) for x in parts)
             assert (pot.envelope(lam, r), pot.yosida(lam, r), pot.yosida_derivative(lam, r)) == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(WELLS)),
+       st.sampled_from([-0.5, 0.0, 0.5]) | st.floats(-1.0, 1.0, exclude_min=True,
+                                                      exclude_max=True))
+def test_envelope_gap_bounded_by_the_least_norm_subgradient(kind, r):
+    # For convex B and any g in its subdifferential at r, B(t) >= B(r) + g (t - r),
+    # so B^lam(r) >= B(r) - (lam/2) g^2: the gap is at most (lam/2) |least-norm g|^2.
+    # Below, the slack is rounding: np.interp gives the tabulated B(-6.7e-65) as 0.
+    pot = WELLS[kind]
+    lams = 2.0 ** -np.arange(1, 13)
+    gap = pot.value(r) - np.array([pot.envelope(lam, r) for lam in lams])
+    assert np.all(gap >= -1e-15)
+    assert np.all(gap <= 0.5 * lams * least_norm_subgradient(pot, r) ** 2 + 1e-12)
 
 
 @pytest.mark.parametrize("kind", WELLS)
@@ -332,10 +347,10 @@ class TestValidation:
 
 def test_minimal_section_conventions():
     pot = indicator(-1, 1)
-    assert pot.minimal_section(0.0) == 0.0
-    assert pot.minimal_section(1.0) == np.inf
-    assert pot.minimal_section(-1.0) == -np.inf
-    assert np.isnan(pot.minimal_section(2.0))
+    assert least_norm_subgradient(pot, 0.0) == 0.0
+    assert least_norm_subgradient(pot, 1.0) == np.inf
+    assert least_norm_subgradient(pot, -1.0) == -np.inf
+    assert np.isnan(least_norm_subgradient(pot, 2.0))
     tab = tabulated([[-1.0, 0.5], [0.0, 0.0], [1.0, 2.0]])
-    assert tab.minimal_section(0.5) == 2.0
-    assert tab.minimal_section(0.0) == 0.0  # kink straddling zero slope
+    assert least_norm_subgradient(tab, 0.5) == 2.0
+    assert least_norm_subgradient(tab, 0.0) == 0.0  # kink straddling zero slope
