@@ -94,18 +94,14 @@ def main(argv=None):
         return int(e.code) if e.code else 0
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed: must be >= 0")
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed: must be >= 0")
+        cfg = load_config(args.config, seed=args.seed, output_dir=args.out)
+        mesh, p, fp, u0, forcing = cfg.build_all()
         echo = cfg.resolved()
         outdir = cfg.output_dir
 
         if args.command == "run":
-            mesh, p, fp, u0, forcing = cfg.build_all()
             _, trace, snapshots = run_flow(mesh, p, fp, u0, forcing,
                                            snapshot_every=cfg.snapshot_every)
             runio.write_run_outputs(outdir, mesh, echo, trace, snapshots)
@@ -115,13 +111,12 @@ def main(argv=None):
         if args.command == "sweep-eps":
             eps0 = _real(args.eps0, "--eps0")
             eps_list = _parse_floats(args.eps_list, "--eps-list")
-            p = cfg.build_energy_params()
             _check_members(p, "--eps0", [{"eps": eps0}])
             _check_members(p, "--eps-list", [{"eps": e} for e in eps_list])
             report = experiments.sweep_epsilon(cfg, eps_list, eps0)
         elif args.command == "sweep-reg":
             pairs = _parse_pairs(args.pairs)
-            _check_members(cfg.build_energy_params(), "--pairs",
+            _check_members(p, "--pairs",
                            [{"delta": d, "lam": lam} for d, lam in pairs])
             report = experiments.sweep_regularization(cfg, pairs)
         else:  # sweep-dep

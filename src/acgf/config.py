@@ -18,16 +18,21 @@ defaults. All physical quantities are plain nondimensional reals. The
 resolved configuration (every field present, tolerances pinned to numbers)
 is what gets echoed next to a run's outputs, and reparsing that echo
 yields an identical resolved configuration.
+
+``config_from_dict`` builds the run as it checks it: the mesh, the energy
+and flow parameters, the initial state and the forcing, each once.
+``RunConfig.build_all`` hands those objects out and builds nothing.
 """
 
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from . import runio
 from .energy import (EnergyParams, ForcingField, NegQuadraticPart, NonePart, SmoothPerturbation,
                      TabulatedPart)
 from .errors import ConfigError, at_path
@@ -91,8 +96,72 @@ def build_mesh(spec):
     return _build(_MESHES, spec)
 
 
+def _energy_params(e):
+    bulk, bdry = (at_path(f"energy.{well}", _build, _WELLS, e[well])
+                  for well in ("bulk_potential", "bdry_potential"))
+    pert = e["perturbation"]
+    sides = ({f"energy.perturbation.{side}": pert[side] for side in ("bulk", "boundary")}
+             if "bulk" in pert else {"energy.perturbation": pert})
+    parts = [at_path(path, _build, _PARTS, spec, (bulk.lo, bulk.hi))
+             for path, spec in sides.items()]
+    try:
+        return EnergyParams(
+            kappa=float(e["kappa"]), eps=float(e["eps"]), delta=float(e["delta"]),
+            lam=float(e["lambda"]), bulk_potential=bulk, bdry_potential=bdry,
+            perturbation=SmoothPerturbation(*parts),
+        )
+    except ConfigError as err:  # its message starts with the field's name
+        raise ConfigError(f"energy.{err}") from None
+
+
+def _flow_params(f):
+    return FlowParams(
+        tau=float(f["tau"]), T=float(f["T"]),
+        inner_tol=None if f["inner_tol"] is None else float(f["inner_tol"]),
+        inner_max_iters=int(f["inner_max_iters"]),
+    )
+
+
+def _initial(spec, mesh, params, seed):
+    kind = spec["kind"]
+    lo, hi = params.bulk_potential.lo, params.bulk_potential.hi
+    if kind == "constant":
+        u = np.full(mesh.num_nodes, float(spec["value"]))
+    elif kind == "two_phase":
+        a = float(spec["amplitude"])
+        mid = 0.5 * mesh.L if mesh.kind == "interval" else 0.0
+        u = np.where(mesh.coords[:, 0] < mid, a, -a)
+    elif kind == "file":
+        u = runio.read_snapshot_values(spec["path"], mesh.num_nodes)
+    else:  # random
+        amp = float(spec["amplitude"])
+        a, b = max(lo, -amp), min(hi, amp)
+        if not (a <= b and math.isfinite(b - a)):
+            raise ConfigError(f"initial.amplitude: {amp} leaves the empty or unbounded "
+                              f"range [{a}, {b}] in the well domain [{lo}, {hi}]")
+        u = np.random.default_rng(seed).uniform(a, b, size=mesh.num_nodes)
+    if np.any(u < lo) or np.any(u > hi):
+        raise ConfigError(f"initial: values leave the well domain [{lo}, {hi}]; "
+                          "the initial pair must be admissible")
+    return u
+
+
+def _forcing(f, mesh):
+    if f["kind"] == "zero":
+        return ForcingField.zero()
+    if f["kind"] == "constant":
+        return ForcingField.constant(mesh, f["bulk"], f["boundary"])
+    return ForcingField.tabulated(mesh, f["times"], f["bulk"], f["boundary"])
+
+
 @dataclass
 class RunConfig:
+    """A checked run: its resolved document and the objects built from it.
+
+    ``config_from_dict`` builds the run once, as it checks it. The fields
+    are the resolved document, which ``resolved`` gives back for the echo.
+    """
+
     mesh: dict
     energy: dict
     flow: dict
@@ -101,92 +170,15 @@ class RunConfig:
     output_dir: str = "out"
     snapshot_every: int = 0
     seed: int = 0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _built: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def resolved(self):
         return {name: getattr(self, name) for name in FORMAT}
 
-    # builders -------------------------------------------------------------
-
-    def build_mesh(self):
-        return build_mesh(self.mesh)
-
-    def build_energy_params(self):
-        e = self.energy
-        bulk, bdry = (at_path(f"energy.{well}", _build, _WELLS, e[well])
-                      for well in ("bulk_potential", "bdry_potential"))
-        pert = e["perturbation"]
-        sides = ({f"energy.perturbation.{side}": pert[side] for side in ("bulk", "boundary")}
-                 if "bulk" in pert else {"energy.perturbation": pert})
-        parts = [at_path(path, _build, _PARTS, spec, (bulk.lo, bulk.hi))
-                 for path, spec in sides.items()]
-        try:
-            return EnergyParams(
-                kappa=float(e["kappa"]), eps=float(e["eps"]), delta=float(e["delta"]),
-                lam=float(e["lambda"]), bulk_potential=bulk, bdry_potential=bdry,
-                perturbation=SmoothPerturbation(*parts),
-            )
-        except ConfigError as err:  # its message starts with the field's name
-            raise ConfigError(f"energy.{err}") from None
-
-    def build_flow_params(self):
-        f = self.flow
-        return FlowParams(
-            tau=float(f["tau"]), T=float(f["T"]),
-            inner_tol=None if f["inner_tol"] is None else float(f["inner_tol"]),
-            inner_max_iters=int(f["inner_max_iters"]),
-        )
-
-    def build_initial(self, mesh, params):
-        spec = self.initial
-        kind = spec["kind"]
-        lo, hi = params.bulk_potential.lo, params.bulk_potential.hi
-        if kind == "constant":
-            u = np.full(mesh.num_nodes, float(spec["value"]))
-        elif kind == "two_phase":
-            a = float(spec["amplitude"])
-            mid = 0.5 * mesh.L if mesh.kind == "interval" else 0.0
-            u = np.where(mesh.coords[:, 0] < mid, a, -a)
-        elif kind == "file":
-            from .runio import read_snapshot_values
-
-            # read once per config: sweeps rebuild the initial state per member
-            key = ("initial", spec["path"], mesh.num_nodes)
-            if key not in self._cache:
-                self._cache[key] = read_snapshot_values(spec["path"], mesh.num_nodes)
-            u = self._cache[key].copy()
-        else:  # random
-            amp = float(spec["amplitude"])
-            a, b = max(lo, -amp), min(hi, amp)
-            if not (a <= b and math.isfinite(b - a)):
-                raise ConfigError(f"initial.amplitude: {amp} leaves the empty or unbounded "
-                                  f"range [{a}, {b}] in the well domain [{lo}, {hi}]")
-            u = np.random.default_rng(self.seed).uniform(a, b, size=mesh.num_nodes)
-        if np.any(u < lo) or np.any(u > hi):
-            raise ConfigError(
-                "initial: values leave the well domain "
-                f"[{lo}, {hi}]; the initial pair must be admissible"
-            )
-        return u
-
-    def build_forcing(self, mesh):
-        f = self.forcing
-        if f["kind"] == "zero":
-            return ForcingField.zero()
-        if f["kind"] == "constant":
-            return ForcingField.constant(mesh, f["bulk"], f["boundary"])
-        return ForcingField.tabulated(mesh, f["times"], f["bulk"], f["boundary"])
-
     def build_all(self):
-        """(mesh, energy params, flow params, initial state, forcing), cached mesh."""
-        if "mesh" not in self._cache:
-            self._cache["mesh"] = self.build_mesh()
-        mesh = self._cache["mesh"]
-        p = self.build_energy_params()
-        fp = self.build_flow_params()
-        u0 = self.build_initial(mesh, p)
-        forcing = self.build_forcing(mesh)
-        return mesh, p, fp, u0, forcing
+        """(mesh, energy params, flow params, initial state, forcing); a fresh initial state."""
+        mesh, p, fp, u0, forcing = self._built
+        return mesh, p, fp, u0.copy(), forcing
 
 
 # the format walk ------------------------------------------------------------
@@ -289,38 +281,41 @@ def config_from_dict(raw):
                        "seed": int(resolved["seed"])})
 
     # structural checks that do not need the mesh built
+    params = fp = None
     try:
-        params = cfg.build_energy_params()
+        params = _energy_params(cfg.energy)
     except ConfigError as e:
         errors.append(str(e))
-        params = None
     try:
-        fp = cfg.build_flow_params()
+        fp = _flow_params(cfg.flow)
     except ConfigError as e:
         errors.append(f"flow: {e}")
-        fp = None
     if params is not None and fp is not None:
         try:
             fp.check_stability(params.perturbation.lipschitz)
         except ConfigError as e:
             errors.append(f"flow.tau: {e}")
     try:
-        mesh_obj = cfg.build_mesh()
-        cfg._cache["mesh"] = mesh_obj
+        mesh = build_mesh(cfg.mesh)
         if cfg.flow["inner_tol"] is None:
-            cfg.flow["inner_tol"] = default_inner_tol(mesh_obj)
-        if params is not None:
-            cfg.build_initial(mesh_obj, params)
-        cfg.build_forcing(mesh_obj)
+            cfg.flow["inner_tol"] = default_inner_tol(mesh)
+        u0 = None if params is None else _initial(cfg.initial, mesh, params, cfg.seed)
+        forcing = _forcing(cfg.forcing, mesh)
     except ConfigError as e:
         errors.append(str(e))
 
     if errors:
         raise ConfigError("; ".join(errors))
+    cfg._built = (mesh, params, replace(fp, inner_tol=cfg.flow["inner_tol"]), u0, forcing)
     return cfg
 
 
-def load_config(path):
+def load_config(path, seed=None, output_dir=None):
+    """The run of the JSON document at path.
+
+    A given ``seed`` or ``output_dir`` replaces the document's own before
+    the check, so it is checked, built and echoed like any other field.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -328,4 +323,7 @@ def load_config(path):
         raise ConfigError(f"cannot read configuration {path}: {e}") from e
     except ValueError as e:  # not JSON, or an integer of more digits than Python parses
         raise ConfigError(f"configuration {path} is not valid JSON: {e}") from e
+    if isinstance(raw, dict):
+        given = {"seed": seed, "output_dir": output_dir}
+        raw = {**raw, **{k: v for k, v in given.items() if v is not None}}
     return config_from_dict(raw)

@@ -7,11 +7,11 @@ should form a Cauchy-like sequence while the smoothed energy climbs to
 the exact one), and a continuous-dependence probe (perturbation response
 ratios must stay under a Gronwall-type envelope).
 
-Each probe builds its configuration once and derives every member from
-it (``EnergyParams.replace`` or shifted data); every member runs through
-``_states``, the one call of ``run_flow`` here. A report passes iff all
-of its verdicts hold. Every probe is deterministic given the
-configuration seed.
+Each probe takes the run its configuration built once and derives every
+member from it (``EnergyParams.replace`` or shifted data) before it solves
+any; every member runs through ``_states``, the one call of ``run_flow``
+here. A report passes iff all of its verdicts hold. Every probe is
+deterministic given the configuration seed.
 """
 
 import math
@@ -116,23 +116,21 @@ def sweep_epsilon(cfg, eps_list, eps0):
     eps0 = float(eps0)
     if not eps_list:
         raise ConfigError("eps_list must be nonempty")
-    if any(e < 0.0 for e in eps_list) or eps0 < 0.0:
-        raise ConfigError("eps values must be nonnegative")
     gaps = [abs(e - eps0) for e in eps_list]
     if not _decreasing(gaps):
         raise ConfigError("eps_list must approach eps0 strictly")
-    if cfg.mesh["kind"] != "disc":
-        raise ConfigError("the eps sweep needs a disc mesh (eps is inert on an interval)")
-
     mesh, p, fp, u0, forcing = cfg.build_all()
+    if mesh.kind != "disc":
+        raise ConfigError("the eps sweep needs a disc mesh (eps is inert on an interval)")
+    ref_p, *members = (p.replace(eps=e) for e in [eps0, *eps_list])
+
     report = SweepReport(kind="sweep_epsilon", params=eps_list, ref=eps0,
                          e_h=[], e_v0=[], seed=cfg.seed)
-    ref, report.traces[f"eps={eps0:.17g}(ref)"] = _states(mesh, p.replace(eps=eps0), fp, u0,
-                                                          forcing)
+    ref, report.traces[f"eps={eps0:.17g}(ref)"] = _states(mesh, ref_p, fp, u0, forcing)
     bdry = []
-    for e in eps_list:
+    for e, q in zip(eps_list, members):
         states, report.traces[f"eps={e:.17g}"] = _states(
-            mesh, p.replace(eps=e), fp, u0, forcing, guide=None if e == eps0 else ref)
+            mesh, q, fp, u0, forcing, guide=None if e == eps0 else ref)
         report.e_h.append(_sup_h_dist(mesh, states, ref))
         report.e_v0.append(_integrated(mesh, states, ref, fp.tau, v0_distance_sq))
         bdry.append(_integrated(mesh, states, ref, fp.tau, _boundary_h1_sq))
@@ -204,15 +202,10 @@ def continuous_dependence_probe(cfg, magnitudes):
         raise ConfigError("magnitudes must descend")
 
     mesh, p, fp, u0, forcing = cfg.build_all()
-    base, base_trace = _states(mesh, p, fp, u0, forcing)
-    again, _ = _states(mesh, p, fp, u0, forcing)  # the unperturbed rerun must match bitwise
     rng = np.random.default_rng(cfg.seed)
     xi_u = rng.standard_normal(mesh.num_nodes)
     xi_th = rng.standard_normal(mesh.num_nodes)
-
-    report = SweepReport(kind="continuous_dependence", params=magnitudes, ref=None,
-                         e_h=[], e_v0=[], seed=cfg.seed)
-    report.traces["baseline"] = base_trace
+    members = []  # (magnitude, its initial state, its squared data-perturbation norm)
     for mag in magnitudes:
         u0p = np.clip(u0 + mag * xi_u, p.bulk_potential.lo, p.bulk_potential.hi)
         try:
@@ -223,6 +216,14 @@ def continuous_dependence_probe(cfg, magnitudes):
         if not 0.0 < den < math.inf:
             raise ConfigError(f"magnitudes: {mag} gives the data perturbation a squared norm "
                               f"of {den}, outside (0, inf)")
+        members.append((mag, u0p, den))
+
+    base, base_trace = _states(mesh, p, fp, u0, forcing)
+    again, _ = _states(mesh, p, fp, u0, forcing)  # the unperturbed rerun must match bitwise
+    report = SweepReport(kind="continuous_dependence", params=magnitudes, ref=None,
+                         e_h=[], e_v0=[], seed=cfg.seed)
+    report.traces["baseline"] = base_trace
+    for mag, u0p, den in members:
         states, report.traces[f"magnitude={mag:.17g}"] = _states(
             mesh, p, fp, u0p, forcing.with_offset(mag * xi_th))
         num = _sup_h_dist(mesh, states, base) ** 2

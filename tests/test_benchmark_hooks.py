@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
+import acgf.config
 import acgf.energy
 import acgf.experiments
 import acgf.flow
 import acgf.meshes
+import acgf.runio
 from acgf.config import config_from_dict
 from acgf.energy import EnergyParams, SmoothPerturbation
 from acgf.potentials import indicator
@@ -90,3 +92,23 @@ def test_sweep_runs_each_member_through_the_hooked_run_flow(monkeypatch):
     report = acgf.experiments.sweep_epsilon(cfg, eps_list, 0.0)
     assert len(calls) == len(eps_list) + 1 == len(report.traces)
     assert calls == [False] + [True] * len(eps_list)  # the reference first, unguided
+
+
+def test_setup_reads_the_initial_file_and_builds_the_mesh_once(tmp_path, monkeypatch):
+    # the benchmark times the snapshot read and the mesh build as the spans of
+    # acgf.runio.read_snapshot_values and acgf.config.build_mesh, which the config
+    # must look up as module attributes when it builds the run
+    mesh = acgf.meshes.DiscMesh(1.0, 4, 8)
+    path = tmp_path / "initial.csv"
+    path.write_text(acgf.runio._snapshot_csv(acgf.runio._row_prefixes(mesh),
+                                             np.linspace(-0.5, 0.5, mesh.num_nodes)))
+    calls = []
+    for module, name in ((acgf.runio, "read_snapshot_values"), (acgf.config, "build_mesh")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, f=original: calls.append(name) or f(*a))
+    cfg = config_from_dict({"mesh": {"kind": "disc", "R": 1.0, "nr": 4, "ntheta": 8},
+                            "initial": {"kind": "file", "path": str(path)}})
+    assert sorted(calls) == ["build_mesh", "read_snapshot_values"]
+    cfg.build_all()
+    assert len(calls) == 2

@@ -170,6 +170,19 @@ class TestRun:
         assert "--seed: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_seed_override_reaches_the_built_state(self, tmp_path):
+        # --seed is applied before the run is built, so it draws the random initial state
+        def outputs(name, seed, *args):
+            cfg = write_cfg(tmp_path, dict(BASE, initial={"kind": "random"}, seed=seed),
+                            f"{name}.json")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name), *args]) == 0
+            return [(tmp_path / name / f).read_bytes()
+                    for f in ("trace.csv", "snapshot_000000.csv")]
+
+        overridden = outputs("overridden", 7, "--seed", "9")
+        assert overridden == outputs("seed9", 9)
+        assert overridden[1] != outputs("seed7", 7)[1]
+
     def test_infeasible_initial_rejected(self, tmp_path):
         bad = dict(BASE, initial={"kind": "constant", "value": 1.5})
         cfg = write_cfg(tmp_path, bad)
@@ -420,6 +433,8 @@ class TestSweepCommands:
          "--eps-list: eps must be nonnegative with a finite square, got 1e+200"),
         ("sweep-eps", ["--eps-list", "0.5", "--eps0", "inf"],
          "--eps0: expected a finite real, got 'inf'"),
+        ("sweep-dep", ["--magnitudes", "1e300"],
+         "magnitudes: 1e+300 gives the data perturbation a squared norm of inf"),
     ])
     def test_every_member_checked_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                    command, args, message):

@@ -19,6 +19,7 @@ def test_defaults_fill_in():
     assert cfg.energy["kappa"] == 1.0
     assert cfg.energy["bulk_potential"]["kind"] == "indicator"
     assert cfg.flow["inner_tol"] is not None
+    assert cfg.build_all()[2].inner_tol == cfg.flow["inner_tol"]
     assert cfg.forcing["kind"] == "zero"
 
 
@@ -70,7 +71,7 @@ def test_unknown_kinds_rejected_with_field_names():
 def test_step_count_bound():
     from acgf.flow import MAX_STEPS
 
-    assert config_from_dict({"flow": {"tau": 1.0, "T": MAX_STEPS}}).build_flow_params().num_steps \
+    assert config_from_dict({"flow": {"tau": 1.0, "T": MAX_STEPS}}).build_all()[2].num_steps \
         == MAX_STEPS
     with pytest.raises(ConfigError, match="flow: T / tau"):
         config_from_dict({"flow": {"tau": 1.0, "T": MAX_STEPS * (1 + 1e-15)}})

@@ -325,7 +325,7 @@ class TestPerturbation:
 
     @staticmethod
     def from_config(spec):
-        return config_from_dict({"energy": {"perturbation": spec}}).build_energy_params().perturbation
+        return config_from_dict({"energy": {"perturbation": spec}}).build_all()[1].perturbation
 
     def test_tabulated_part_derivative_consistency(self):
         pert = self.from_config(

@@ -179,6 +179,15 @@ def test_every_sweep_builds_its_config_once(monkeypatch, sweep, members):
     assert builds == [cfg]
 
 
+def test_sweep_eps_builds_every_member_before_the_reference_solve(monkeypatch):
+    def no_solve(*a, **kw):
+        raise AssertionError("a member was solved before every member was built")
+
+    monkeypatch.setattr(acgf.experiments, "run_flow", no_solve)
+    with pytest.raises(ConfigError, match="eps must be nonnegative with a finite square"):
+        sweep_epsilon(disc_cfg(), [1e200], 0.0)
+
+
 def test_a_failing_verdict_fails_the_report_and_its_files(tmp_path):
     rep = sweep_epsilon(disc_cfg(), [0.8, 0.3], 0.0)
     assert rep.passed and rep.to_jsonable()["passed"] is True

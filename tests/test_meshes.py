@@ -202,7 +202,7 @@ def test_build_mesh_specs():
     # kinds and defaults come from the configuration format
     with pytest.raises(ConfigError, match="mesh.kind: unknown kind 'torus'"):
         config_from_dict({"mesh": {"kind": "torus"}})
-    assert config_from_dict({"mesh": {"kind": "disc"}}).build_mesh().num_nodes == 16 * 32
+    assert config_from_dict({"mesh": {"kind": "disc"}}).build_all()[0].num_nodes == 16 * 32
 
 
 class TestBand:

@@ -335,7 +335,7 @@ class TestValidation:
     def test_spec_factory(self):
         def well(spec):
             raw = {"energy": {"bulk_potential": spec, "bdry_potential": spec}}
-            return config_from_dict(raw).build_energy_params().bulk_potential
+            return config_from_dict(raw).build_all()[1].bulk_potential
 
         p = well({"kind": "indicator", "lo": -1.0, "hi": 1.0})
         assert p.kind == "indicator" and p.lo == -1.0
