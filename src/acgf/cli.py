@@ -52,12 +52,6 @@ def _parse_pairs(text):
     return pairs
 
 
-def _check_members(params, flag, members):
-    """Build each sweep member's energy parameters before any solve; a bad one names ``flag``."""
-    for overrides in members:
-        at_path(flag, params.replace, **overrides)
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(prog="acgf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -111,17 +105,17 @@ def main(argv=None):
         if args.command == "sweep-eps":
             eps0 = _real(args.eps0, "--eps0")
             eps_list = _parse_floats(args.eps_list, "--eps-list")
-            _check_members(p, "--eps0", [{"eps": eps0}])
-            _check_members(p, "--eps-list", [{"eps": e} for e in eps_list])
+            for flag, eps in [("--eps0", eps0), *(("--eps-list", e) for e in eps_list)]:
+                at_path(flag, p.replace, eps=eps)  # each member checked before any is solved
+            at_path("--eps-list", experiments.check_eps_list, eps_list, eps0)
+            # not wrapped whole, as a wrong mesh is the fault of no flag
             report = experiments.sweep_epsilon(cfg, eps_list, eps0)
         elif args.command == "sweep-reg":
-            pairs = _parse_pairs(args.pairs)
-            _check_members(p, "--pairs",
-                           [{"delta": d, "lam": lam} for d, lam in pairs])
-            report = experiments.sweep_regularization(cfg, pairs)
+            report = at_path("--pairs", experiments.sweep_regularization, cfg,
+                             _parse_pairs(args.pairs))
         else:  # sweep-dep
-            mags = _parse_floats(args.magnitudes, "--magnitudes")
-            report = experiments.continuous_dependence_probe(cfg, mags)
+            report = at_path("--magnitudes", experiments.continuous_dependence_probe, cfg,
+                             _parse_floats(args.magnitudes, "--magnitudes"))
 
         runio.write_sweep_report(outdir, report, echo)
         if not report.passed:

@@ -11,7 +11,9 @@ Each probe takes the run its configuration built once and derives every
 member from it (``EnergyParams.replace`` or shifted data) before it solves
 any; every member runs through ``_states``, the one call of ``run_flow``
 here. A report passes iff all of its verdicts hold. Every probe is
-deterministic given the configuration seed.
+deterministic given the configuration seed. A probe raises ConfigError only
+before its first solve; one about its list argument does not name it, so a
+caller can prefix the name it knows the list by (the CLI gives the flag).
 """
 
 import math
@@ -102,6 +104,14 @@ def _loglog_rate(xs, ys):
     return float(slope)
 
 
+def check_eps_list(eps_list, eps0):
+    """Raise ConfigError unless eps_list is nonempty and approaches eps0 strictly."""
+    if not eps_list:
+        raise ConfigError("must be nonempty")
+    if not _decreasing([abs(e - eps0) for e in eps_list]):
+        raise ConfigError("must approach eps0 strictly")
+
+
 def sweep_epsilon(cfg, eps_list, eps0):
     """Rerun the flow along eps_list and compare against the eps0 reference.
 
@@ -114,11 +124,7 @@ def sweep_epsilon(cfg, eps_list, eps0):
     """
     eps_list = [float(e) for e in eps_list]
     eps0 = float(eps0)
-    if not eps_list:
-        raise ConfigError("eps_list must be nonempty")
-    gaps = [abs(e - eps0) for e in eps_list]
-    if not _decreasing(gaps):
-        raise ConfigError("eps_list must approach eps0 strictly")
+    check_eps_list(eps_list, eps0)
     mesh, p, fp, u0, forcing = cfg.build_all()
     if mesh.kind != "disc":
         raise ConfigError("the eps sweep needs a disc mesh (eps is inert on an interval)")
@@ -138,7 +144,7 @@ def sweep_epsilon(cfg, eps_list, eps0):
     if eps0 > 0.0:
         report.extra["boundary_h1"] = bdry
         report.verdicts["boundary_h1_decreasing"] = _decreasing(bdry)
-    report.extra["fitted_rate"] = _loglog_rate(gaps, report.e_h)
+    report.extra["fitted_rate"] = _loglog_rate([abs(e - eps0) for e in eps_list], report.e_h)
     report.notes.append(
         "forcing held fixed across the sweep (a strongly convergent family); "
         "weak-only convergence of forcings is not finitely samplable"
@@ -150,10 +156,11 @@ def sweep_regularization(cfg, pairs):
     """Rerun the flow along descending (delta, lambda) pairs; check a Cauchy trend."""
     pairs = [(float(d), float(l)) for d, l in pairs]
     if not pairs:
-        raise ConfigError("pairs must be nonempty")
+        raise ConfigError("must be nonempty")
     for (d0, l0), (d1, l1) in zip(pairs, pairs[1:]):
         if d1 > d0 or l1 > l0 or (d1, l1) == (d0, l0):
-            raise ConfigError("(delta, lambda) pairs must descend")
+            raise ConfigError("must descend: neither delta nor lambda may grow, "
+                              "and no entry may repeat the one before")
 
     mesh, p, fp, u0, forcing = cfg.build_all()
     members = [p.replace(delta=d, lam=l) for d, l in pairs]
@@ -195,11 +202,11 @@ def continuous_dependence_probe(cfg, magnitudes):
     """
     magnitudes = [float(m) for m in magnitudes]
     if not magnitudes:
-        raise ConfigError("magnitudes must be nonempty")
+        raise ConfigError("must be nonempty")
     if any(m <= 0.0 for m in magnitudes):
-        raise ConfigError("magnitudes must be positive")
+        raise ConfigError("must be positive")
     if not _decreasing(magnitudes):
-        raise ConfigError("magnitudes must descend")
+        raise ConfigError("must descend")
 
     mesh, p, fp, u0, forcing = cfg.build_all()
     rng = np.random.default_rng(cfg.seed)
@@ -214,8 +221,8 @@ def continuous_dependence_probe(cfg, magnitudes):
         except OverflowError:
             den = math.inf
         if not 0.0 < den < math.inf:
-            raise ConfigError(f"magnitudes: {mag} gives the data perturbation a squared norm "
-                              f"of {den}, outside (0, inf)")
+            raise ConfigError(f"{mag} gives the data perturbation a squared norm of {den}, "
+                              "outside (0, inf)")
         members.append((mag, u0p, den))
 
     base, base_trace = _states(mesh, p, fp, u0, forcing)

@@ -3,16 +3,13 @@
 All files are written atomically (temp file in the target directory,
 then rename), so an interrupted run never leaves a partial file at the
 final path. Reals are serialized with 17 significant digits and '.'
-decimal, which round-trips float64 bit-exactly. A snapshot read back as an
-initial state is parsed a column at a time; its checks run in the order
-``read_snapshot_values`` lists, so the first faulty row is the one reported.
+decimal, which round-trips float64 bit-exactly.
 """
 
 import json
+import math
 import os
-import re
 import tempfile
-from itertools import repeat
 
 import numpy as np
 
@@ -25,7 +22,6 @@ TRACE_HEADER = (
 )
 
 SNAPSHOT_HEADER = "node_id,x,y,is_boundary,value"
-_DIGIT_RUNS = re.compile(r"(?:[0-9]+,)*")  # leading comma-closed runs of ASCII digits
 
 
 def fmt(x):
@@ -72,8 +68,9 @@ def read_snapshot_values(path, expected_nodes):
     """Read the value column of a snapshot CSV, ordered by node id.
 
     Rows are the stripped non-blank lines after the header. Every row must
-    carry an integer node id of this mesh, once, and a finite value. The id and
-    value columns are parsed whole and checked in this order:
+    carry an integer node id of this mesh, once, and a finite value. Each row
+    is checked in this order, so a faulty file is reported at its first faulty
+    row, with that row's first fault:
 
     1. the row has 5 comma-separated fields;
     2. its node id is a run of ASCII digits;
@@ -81,10 +78,6 @@ def read_snapshot_values(path, expected_nodes):
     4. its node id is below ``expected_nodes``;
     5. its value is finite;
     6. no earlier row carries its node id.
-
-    Each check looks only at the rows before the earliest fault found so far,
-    so a faulty file is reported at its first faulty row, with that row's
-    first fault.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -93,56 +86,34 @@ def read_snapshot_values(path, expected_nodes):
         raise ConfigError(f"initial.path: cannot read {path}: {e}") from e
     if not lines or not lines[0].startswith("node_id"):
         raise ConfigError(f"initial.path: {path} is not a snapshot CSV")
-    rows = lines[1:]
-    end, why = len(rows), None  # rows before the earliest fault, and that fault's message
-
-    def check(k, message):
-        """Record a fault at row k (0 = first row after the header) if it is the earliest."""
-        nonlocal end, why
-        if k < end:
-            end, why = k, message
-
-    check(_first(np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) != 4),
-          lambda k: "expected 5 comma-separated fields")
-    fields = ",".join(rows[:end]).split(",")
-    ids, text = fields[0::5][:end], fields[4::5][:end]
-    joined = ",".join(ids) + ","  # int() also takes "+3", "1_0" and "٣"
-    check(joined.count(",", 0, _DIGIT_RUNS.match(joined).end()),
-          lambda k: "node_id must be a non-negative integer")
-    # float() also takes "0_5" and non-ASCII digits such as "１.5"; it refuses each such
-    # character turned into "?"
-    text = ",".join(text[:end]).encode("ascii", "replace").replace(b"_", b"?").decode().split(",")
-    values = []
-    try:
-        values.extend(map(float, text[:end]))
-    except ValueError:  # values holds the rows parsed before the failing one
-        check(len(values), lambda k: "value must be a number")
-    digits = ids[:end]
-    width = len(str(expected_nodes))  # an id of more significant digits is out of range
-    for k in np.flatnonzero(np.fromiter(map(len, digits), np.intp, len(digits)) > width):
-        digits[k] = digits[k].lstrip("0")[:width + 1] or "0"
-    idx = np.fromiter(map(int, digits), np.intp, len(digits))
-    check(_first(idx >= expected_nodes),
-          lambda k: f"node id {ids[k].lstrip('0') or '0'} out of range for this mesh")
-    values = np.array(values[:end], dtype=float)
-    check(_first(~np.isfinite(values)), lambda k: "value must be finite")
-    idx = idx[:end]
-    repeated = np.ones(end, dtype=bool)
-    repeated[np.unique(idx, return_index=True)[1]] = False
-    check(_first(repeated), lambda k: f"node id {idx[k]} appears twice")
-    if why is not None:
-        raise _row_error(path, end + 2, rows[end], why(end))  # the header is row 1
-    if len(rows) < expected_nodes:  # every row has filled a distinct node
+    values = [None] * expected_nodes
+    for k, ln in enumerate(lines[1:], 2):  # k counts non-blank rows, the header is row 1
+        try:
+            node, _, _, _, text = ln.split(",")
+        except ValueError:
+            raise _row_error(path, k, ln, "expected 5 comma-separated fields") from None
+        if not (node.isdecimal() and node.isascii()):  # int() takes "+3", "1_0", "٣"
+            raise _row_error(path, k, ln, "node_id must be a non-negative integer")
+        try:
+            idx = int(node)
+        except ValueError:  # more digits than int() converts: out of range unless zero padding
+            idx = int(node.lstrip("0")[:len(str(expected_nodes)) + 1] or "0")
+        try:
+            if "_" in text or not text.isascii():  # float() takes "0_5" and "１.5"
+                raise ValueError
+            value = float(text)
+        except ValueError:
+            raise _row_error(path, k, ln, "value must be a number") from None
+        if idx >= expected_nodes:
+            raise _row_error(path, k, ln, f"node id {node.lstrip('0')} out of range for this mesh")
+        if not math.isfinite(value):
+            raise _row_error(path, k, ln, "value must be finite")
+        if values[idx] is not None:
+            raise _row_error(path, k, ln, f"node id {idx} appears twice")
+        values[idx] = value
+    if len(lines) - 1 < expected_nodes:  # every row has filled a distinct node
         raise ConfigError(f"initial.path: {path} does not cover every node of this mesh")
-    out = np.empty(expected_nodes)
-    out[idx] = values
-    return out
-
-
-def _first(bad):
-    """Index of the first true entry of bad, or its length if there is none."""
-    hit = np.flatnonzero(bad)
-    return int(hit[0]) if hit.size else len(bad)
+    return np.array(values)
 
 
 def _row_error(path, k, ln, why):

@@ -213,6 +213,13 @@ class TestRun:
         mesh, p, _, u0, _ = cfg2.build_all()
         assert np.array_equal(u0, values)
 
+    def test_zero_padded_id_beyond_int_digits_reads_as_its_node(self, tmp_path):
+        # int() refuses more than 4300 digits; zero padding leaves the id in range
+        snap = tmp_path / "snap.csv"
+        rows = [SNAPSHOT_ROWS[0], "0,0,0,0,0.5", "1,0,0,0,0.25", "0" * 5000 + "2,0,0,0,0.125"]
+        snap.write_text("\n".join(rows) + "\n")
+        assert read_snapshot_values(str(snap), 3).tolist() == [0.5, 0.25, 0.125]
+
     @pytest.mark.parametrize("line,row,message", [
         (5, "3.5,0,0,0,0.5", "node_id must be a non-negative integer"),
         (5, "3_0,0,0,0,0.5", "node_id must be a non-negative integer"),
@@ -363,6 +370,13 @@ class TestSweepCommands:
         cfg = write_cfg(tmp_path, DISC)
         assert main(["sweep-eps", "--config", cfg, "--eps-list", "", "--eps0", "0.0"]) == 2
 
+    def test_sweep_eps_on_an_interval_names_no_flag(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["sweep-eps", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--eps-list", "0.5", "--eps0", "0.0"]) == 2
+        assert "configuration error: the eps sweep needs a disc mesh" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_eps_decreasing(self, tmp_path):
         cfg = write_cfg(tmp_path, DISC)
         out = str(tmp_path / "rep2")
@@ -434,7 +448,12 @@ class TestSweepCommands:
         ("sweep-eps", ["--eps-list", "0.5", "--eps0", "inf"],
          "--eps0: expected a finite real, got 'inf'"),
         ("sweep-dep", ["--magnitudes", "1e300"],
-         "magnitudes: 1e+300 gives the data perturbation a squared norm of inf"),
+         "--magnitudes: 1e+300 gives the data perturbation a squared norm of inf"),
+        ("sweep-dep", ["--magnitudes", "0.1,-0.01"], "--magnitudes: must be positive"),
+        ("sweep-dep", ["--magnitudes", "0.01,0.1"], "--magnitudes: must descend"),
+        ("sweep-reg", ["--pairs", "0.25:0.25,0.5:0.5"], "--pairs: must descend"),
+        ("sweep-eps", ["--eps-list", "0.1,0.4", "--eps0", "0"],
+         "--eps-list: must approach eps0 strictly"),
     ])
     def test_every_member_checked_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                    command, args, message):
