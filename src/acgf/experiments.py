@@ -224,6 +224,10 @@ def continuous_dependence_probe(cfg, magnitudes):
             raise ConfigError(f"{mag} gives the data perturbation a squared norm of {den}, "
                               "outside (0, inf)")
         members.append((mag, u0p, den))
+    try:  # an infinite envelope bounds every ratio
+        envelope = 2.0 * math.exp(2.0 * p.perturbation.lipschitz * fp.T) * (1.0 + fp.T)
+    except OverflowError:
+        envelope = math.inf
 
     base, base_trace = _states(mesh, p, fp, u0, forcing)
     again, _ = _states(mesh, p, fp, u0, forcing)  # the unperturbed rerun must match bitwise
@@ -237,7 +241,6 @@ def continuous_dependence_probe(cfg, magnitudes):
         num += _integrated(mesh, states, base, fp.tau, v0_distance_sq) ** 2
         report.e_h.append(num / den)
     ratios = report.e_h
-    envelope = 2.0 * math.exp(2.0 * p.perturbation.lipschitz * fp.T) * (1.0 + fp.T)
     report.extra["envelope"] = envelope
     report.extra["ratio_spread"] = (max(ratios) / min(ratios)) if min(ratios) > 0 else np.inf
     report.verdicts["bounded_by_envelope"] = all(r <= envelope for r in ratios)

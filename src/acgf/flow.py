@@ -197,7 +197,7 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
     """
     uprev = _check_field(mesh, uprev, what="state")
     if dual is not None:
-        if dual.shape != _zero_dual(mesh).shape:
+        if dual.shape != (len(mesh.cell_ops), mesh.dim):
             raise ValueError(f"dual flux has shape {dual.shape}, mesh has "
                              f"{len(mesh.cell_ops)} cells of dimension {mesh.dim}")
         if not np.all(np.einsum("nd,nd->n", dual, dual) < 1.0):

@@ -131,13 +131,22 @@ def write_run_outputs(outdir, mesh, cfg_echo, trace, snapshots):
                           _snapshot_csv(prefixes, values))
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float in it, at any depth of lists and dicts, as None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_sweep_report(outdir, report, cfg_echo):
-    """report.json + one trace CSV per member run + summary.csv."""
+    """report.json, non-finite numbers as null; one trace CSV per member run; summary.csv."""
     os.makedirs(outdir, exist_ok=True)
-    payload = report.to_jsonable()
+    payload = _finite_or_null(report.to_jsonable())
     payload["config"] = cfg_echo
     atomic_write_text(os.path.join(outdir, "report.json"),
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                      json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     for label, trace in report.traces.items():
         safe = label.replace("=", "_").replace("(", "_").replace(")", "").replace(",", "_")
         atomic_write_text(os.path.join(outdir, f"trace_{safe}.csv"), trace_to_csv(trace))

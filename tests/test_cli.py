@@ -476,6 +476,30 @@ class TestSweepCommands:
         assert report["verdicts"]["deterministic_baseline"]
 
 
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("flow,perturbation,magnitude,null", [
+    # L_g = 1000 at the stability guard: exp(2 L_g T) overflows a float
+    ({"tau": 5e-4, "T": 0.36}, {"kind": "tabulated", "points": [[-1, 1000], [1, -1000]]},
+     "0.1", "envelope"),
+    # every response ratio underflows to 0, so their spread is infinite
+    ({"tau": 0.05, "T": 0.1}, {"kind": "neg_quadratic"}, "1e-160", "ratio_spread"),
+], ids=["overflowing-envelope", "vanishing-ratios"])
+def test_sweep_dep_report_is_strict_json(tmp_path, capsys, flow, perturbation, magnitude, null):
+    payload = dict(BASE, mesh={"kind": "interval", "L": 1.0, "n": 4}, flow=flow,
+                   energy={"kappa": 0.2, "perturbation": perturbation})
+    out = tmp_path / "dep"
+    assert main(["sweep-dep", "--config", write_cfg(tmp_path, payload), "--out", str(out),
+                 "--magnitudes", magnitude]) == 0
+    assert capsys.readouterr().err == ""
+    report = strict_json((out / "report.json").read_text())
+    assert report["extra"][null] is None and report["passed"]
+
+
 @pytest.mark.parametrize("command,args", [
     ("run", []),
     ("sweep-eps", ["--eps-list", "0.5", "--eps0", "0.0"]),

@@ -11,6 +11,8 @@ from acgf.config import build_mesh, config_from_dict
 from acgf.errors import ConfigError
 from acgf.meshes import (
     MAX_BAND_ENTRIES,
+    PACKED,
+    _LOWER,
     DiscMesh,
     IntervalMesh,
     bulk_gradient,
@@ -254,3 +256,19 @@ class TestBand:
     def test_largest_documented_disc_fits(self):
         m = DiscMesh(1.0, 128, 256)
         assert m.num_nodes * (m.bandwidth + 1) <= MAX_BAND_ENTRIES
+
+    @pytest.mark.parametrize("make", [lambda: IntervalMesh(1.0, 64),
+                                      lambda: DiscMesh(1.0, 32, 64),
+                                      lambda: DiscMesh(1.0, 2**12, 4)],
+                             ids=["interval", "disc-32x64", "thin-disc"])
+    def test_cell_products_match_a_per_cell_loop(self, make):
+        m = make()
+        p, q = _LOWER[m.cell_ops.shape[2]]
+        oracle = np.empty_like(m.cell_products)
+        for n, (w, op) in enumerate(zip(m.cell_weights, m.cell_ops)):
+            for r, (a, b) in enumerate(zip(*PACKED[m.dim])):
+                block = np.outer(w * op[a], op[b])  # block[p, q] = w op[a, p] op[b, q]
+                if a != b:
+                    block += np.outer(w * op[b], op[a])
+                oracle[r, :, n] = block[p, q]
+        np.testing.assert_allclose(m.cell_products, oracle, rtol=1e-15, atol=0.0)

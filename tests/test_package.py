@@ -45,28 +45,36 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def unreferenced_functions(sources, hooked):
-    """Top-level functions of ``sources`` (module name -> text) that no code names, nor ``hooked``.
+def unreferenced_definitions(sources, hooked):
+    """Top-level functions and assigned names of ``sources`` (module name -> text) no code reads.
 
-    A function counts as named where a name or an attribute of that spelling is read,
-    in any module; its ``def`` line and ``__all__`` strings do not count.
+    A definition counts as read where a name or an attribute of its spelling is
+    loaded, in any module, or where ``hooked`` holds it; its ``def`` line, its
+    assignment and ``__all__`` strings do not count. ``__all__`` itself is exempt.
     """
-    defined, named = [], set(hooked)
+    defined, named = [], set(hooked) | {"__all__"}
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [(module, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, name.id) for target in targets
+                            for name in ast.walk(target) if isinstance(name, ast.Name)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 named.add(node.attr)
     return sorted(f"{module}:{name}" for module, name in defined if name not in named)
 
 
 def test_unreferenced_functions_are_found():
-    sources = {"a.py": "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\n",
+    sources = {"a.py": "def f():\n    return g()\ndef g():\n    return x\ndef h():\n    pass\n"
+                       "x, y = 1, 2\n_INDEX = {}\nk: int = 3\n",
                "b.py": "import a\n__all__ = ['f']\nclass C:\n    def m(self):\n        a.k\n"}
-    assert unreferenced_functions(sources, {"h"}) == ["a.py:f"]
+    assert unreferenced_definitions(sources, {"h"}) == ["a.py:_INDEX", "a.py:f", "a.py:y"]
 
 
 def test_every_library_function_is_called_or_hooked_by_the_benchmark():
@@ -75,7 +83,7 @@ def test_every_library_function_is_called_or_hooked_by_the_benchmark():
     spec.loader.exec_module(spans)
     hooked = {hook.attr for hook in spans.HOOKS} | set(spans.POTENTIAL_METHODS)
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SOURCES.glob("*.py"))}
-    assert unreferenced_functions(sources, hooked) == []
+    assert unreferenced_definitions(sources, hooked) == []
 
 
 def unknown_readme_flags(readme):
