@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg.blas import dsbmv
 
 from .errors import ConfigError
-from .meshes import PACKED, bulk_gradient, surface_gradient
+from .meshes import PACKED, bulk_gradient, rowdot, surface_gradient
 from .potentials import ScalarConvexPotential
 
 
@@ -76,11 +76,11 @@ class NegQuadraticPart(_PerturbationPart):
         self.lo, self.hi = lo, hi
 
     def g(self, r):
-        return -np.clip(np.asarray(r, dtype=float), self.lo, self.hi)
+        return -np.minimum(np.maximum(np.asarray(r, dtype=float), self.lo), self.hi)
 
     def G(self, r):
         r = np.asarray(r, dtype=float)
-        p = np.clip(r, self.lo, self.hi)
+        p = np.minimum(np.maximum(r, self.lo), self.hi)
         return -0.5 * p * p - p * (r - p)
 
 
@@ -229,7 +229,7 @@ class Evaluation:
         self.mesh, self.p = mesh, p
         self.u = u = np.asarray(u, dtype=float)
         self.g = bulk_gradient(mesh, u)
-        self.g2 = np.einsum("nd,nd->n", self.g, self.g)
+        self.g2 = rowdot(self.g, self.g)
         self.s2 = self.g2 + p.delta**2
         self.s = np.sqrt(self.s2)
         self.flux = self.g / self.s[:, None]
@@ -278,7 +278,7 @@ def phi_exact(mesh, p, u):
     if np.any(np.isinf(vb)) or np.any(np.isinf(vg)):
         return np.inf
     g = bulk_gradient(mesh, u)
-    gn = np.sqrt(np.einsum("nd,nd->n", g, g))
+    gn = np.sqrt(rowdot(g, g))
     total = float(np.dot(gn, mesh.cell_weights))
     total += 0.5 * p.kappa**2 * float(np.dot(gn * gn, mesh.cell_weights))
     total += float(np.dot(vb, mesh.w_bulk)) + float(np.dot(vg, mesh.w_bdry))
@@ -343,13 +343,13 @@ def hessian(mesh, p, u, shift, dual=None):
     coef += (a == b)[:, None] * (1.0 / at.s + p.kappa**2)
     diag = at.bulk[2] * mesh.w_bulk
     diag[mesh.boundary_nodes] += at.bdry[2] * mesh.w_bdry
-    seg = np.zeros((3, mesh.seg_nodes.shape[0]))
-    if at.slopes is not None:  # pairs (0, 0), (1, 0), (1, 1)
-        seg = np.outer([1.0, -1.0, 1.0], p.eps**2 * mesh.seg_weights / mesh.seg_len**2)
-    contrib = np.concatenate([np.einsum("rn,rcn->cn", coef, mesh.cell_products).ravel(),
-                              diag + shift, seg.ravel()])
+    parts = [np.einsum("rn,rcn->cn", coef, mesh.cell_products).ravel(), diag + shift]
+    if at.slopes is not None:  # pairs (0, 0), (1, 0), (1, 1); else their slots, last, get nothing
+        c = p.eps**2 * mesh.seg_weights / mesh.seg_len**2
+        parts += [c, -c, c]
+    contrib = np.concatenate(parts)
     n, rows = mesh.num_nodes, mesh.bandwidth + 1
-    return np.bincount(mesh.band_slots, contrib, n * rows).reshape(n, rows).T
+    return np.bincount(mesh.band_slots[:len(contrib)], contrib, n * rows).reshape(n, rows).T
 
 
 def hess_phi_vec(mesh, p, u, v):

@@ -24,7 +24,7 @@ import numpy as np
 from .energy import phi_exact, phi_regularized
 from .errors import ConfigError
 from .flow import run_flow
-from .meshes import bulk_gradient, h_norm, surface_gradient
+from .meshes import bulk_gradient, h_norm, rowdot, surface_gradient
 
 
 @dataclass
@@ -55,7 +55,7 @@ def v0_distance_sq(mesh, u, v):
     """Squared graph-space distance: bulk H1 seminorm + boundary L2 of the traces."""
     d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
     g = bulk_gradient(mesh, d)
-    out = float(np.dot(np.einsum("nd,nd->n", g, g), mesh.cell_weights))
+    out = float(np.dot(rowdot(g, g), mesh.cell_weights))
     db = d[mesh.boundary_nodes]
     out += float(np.dot(db * db, mesh.w_bdry))
     return out

@@ -14,11 +14,12 @@ Lipschitz constant of the perturbation's derivative.
 the primal-dual Newton method of Chan, Golub and Mulet (SIAM J. Sci.
 Comput. 20(6), 1999) with an Armijo backtracking line search on J. Each
 iterate assembles the Newton matrix of J as a band in the mesh's
-``band_order`` and solves for the step d with one banded Cholesky
-factorization, which overwrites the band in place. J is strongly convex, so
-that matrix is symmetric positive definite; a factorization that fails means
-the subproblem has lost strong convexity and raises SolverError. Neither
-LAPACK call scans its input for NaN or inf. A non-finite entry either stops
+``band_order``, factors it in place with LAPACK's ``dpbtrf`` and solves for
+the step d with ``dpbtrs``. J is strongly convex, so that matrix is symmetric
+positive definite: info > 0 from ``dpbtrf`` (a minor not positive) means the
+subproblem has lost strong convexity and raises SolverError; info < 0 from
+either call (an argument refused) is a fault of this code, a RuntimeError.
+Neither call scans its input for NaN or inf. A non-finite entry either stops
 the factorization or leaves a NaN or an infinite pivot on the factor's
 diagonal, which is checked; a non-finite d fails the slope check. All three
 raise SolverError. The total-variation block of every cell uses a dual flux
@@ -74,11 +75,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.cython_blas
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import energy as en
 from .errors import ConfigError, NonconvergenceError, SolverError
-from .meshes import _check_field, bulk_gradient, h_norm
+from .meshes import _check_field, bulk_gradient, h_norm, rowdot
 
 
 def _scipy_blas_on_one_thread():
@@ -163,9 +164,9 @@ def _dual_step(w, dw):
     The lengths come as an (ncells, 1) column, ready to scale dw; a cell with
     dw = 0 gets 1.
     """
-    a = np.einsum("nd,nd->n", w, dw)
-    c = np.einsum("nd,nd->n", dw, dw)
-    r = 1.0 - np.einsum("nd,nd->n", w, w)
+    a = rowdot(w, dw)
+    c = rowdot(dw, dw)
+    r = 1.0 - rowdot(w, w)
     q = np.sqrt(a * a + c * r)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # positive root of c b^2 + 2 a b - r, in the form free of cancellation
@@ -185,9 +186,9 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
     """One implicit-Euler step from uprev under the forcing value theta_n.
 
     The step's Newton loop runs here: it minimizes J anchored at uprev, whose
-    linear term is G(uprev) - theta_n (see the module docstring). ``dual``,
-    an (ncells, dim) array with |w| < 1 in every cell, is the flux the loop
-    starts from; the loop leaves its final flux there, in place. Without it
+    linear term is G(uprev) - theta_n (see the module docstring). ``dual``, a
+    writeable float64 (ncells, dim) array, |w| < 1 in every cell, is the flux
+    the loop starts from; the loop leaves its final flux there. Without it
     the flux starts at zero. ``start``, one finite value per node, is the
     first iterate in place of uprev; J stays anchored at uprev.
 
@@ -197,10 +198,12 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
     """
     uprev = _check_field(mesh, uprev, what="state")
     if dual is not None:
-        if dual.shape != (len(mesh.cell_ops), mesh.dim):
-            raise ValueError(f"dual flux has shape {dual.shape}, mesh has "
-                             f"{len(mesh.cell_ops)} cells of dimension {mesh.dim}")
-        if not np.all(np.einsum("nd,nd->n", dual, dual) < 1.0):
+        cells = (len(mesh.cell_ops), mesh.dim)
+        if not (isinstance(dual, np.ndarray) and dual.dtype == np.float64 and dual.shape == cells
+                and dual.flags.writeable):
+            raise ValueError(f"dual flux must be a writeable float64 array of shape {cells}, one "
+                             f"row per cell; got {np.shape(dual)} of {getattr(dual, 'dtype', None)}")
+        if not np.all(rowdot(dual, dual) < 1.0):
             raise ValueError("dual flux must lie inside the unit ball in every cell")
     if start is not None:
         start = _checked_state(mesh, start, "start iterate")
@@ -221,7 +224,8 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
 
     w = _zero_dual(mesh) if dual is None else dual  # dual flux, |w| < 1 per cell
     backtracks = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught just below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # caught by a check below
+        shift, inv_m = m / tau, 1.0 / m  # the Newton matrix's shift, the gradient norm's weight
         first = uprev if start is None else start
         at = en.Evaluation(mesh, p, first.copy())  # the iterate v and all the energy reads of it
         fv = value(at)
@@ -231,27 +235,25 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
     for it in range(fp.inner_max_iters):
         with np.errstate(over="ignore", invalid="ignore"):
             pg = m * (at.u - uprev) / tau + en._grad_partial(mesh, p, at) + ml
-            gnorm = math.sqrt(float(np.dot(pg * pg, 1.0 / m)))
+            gnorm = math.sqrt(float(np.dot(pg * pg, inv_m)))
         if not np.isfinite(gnorm):
             raise SolverError("non-finite gradient in the inner solver")
         if gnorm <= tol:
             break
-        try:
-            factor = cholesky_banded(en.hessian(mesh, p, at, m / tau, w), overwrite_ab=True,
-                                     lower=True, check_finite=False)
-        except LinAlgError as e:  # the subproblem has lost strong convexity
-            raise SolverError(
-                f"Newton matrix is not positive definite at gradient norm {gnorm:.3e}") from e
+        factor, info = dpbtrf(en.hessian(mesh, p, at, shift, w), lower=1, overwrite_ab=1)
+        if info > 0:  # the subproblem has lost strong convexity
+            raise SolverError(f"Newton matrix is not positive definite at gradient norm {gnorm:.3e}")
         if not np.isfinite(factor[0]).all():  # a NaN, or an infinite pivot, which zeroes d there
             raise SolverError(f"non-finite Newton matrix at gradient norm {gnorm:.3e}")
         d = np.empty_like(pg)
-        d[mesh.band_order] = cho_solve_banded((factor, True), -pg[mesh.band_order],
-                                              check_finite=False)
+        d[mesh.band_order], solved = dpbtrs(factor, -pg[mesh.band_order], lower=1, overwrite_b=1)
+        if min(info, solved) < 0:  # an argument LAPACK refused: a fault of this code, not the input
+            raise RuntimeError(f"dpbtrf or dpbtrs refused argument {-min(info, solved)}")
         slope = float(np.dot(pg, d))
         if not math.isfinite(slope):  # a NaN or inf anywhere in d makes pg . d so
             raise SolverError(f"non-finite Newton direction at gradient norm {gnorm:.3e}")
         g, s, bd = at.g, at.s[:, None], bulk_gradient(mesh, d)
-        dw = (bd - w * np.einsum("nd,nd->n", g, bd)[:, None] / s) / s + at.flux - w
+        dw = (bd - w * rowdot(g, bd)[:, None] / s) / s + at.flux - w
         w += _dual_step(w, dw) * dw
         # near the optimum the true decrease drops below float resolution of
         # the objective; the sufficient-decrease test gets that much slack, taken

@@ -257,6 +257,14 @@ def bulk_gradient(mesh, u):
     return np.einsum("ndk,nk->nd", mesh.cell_ops, u[mesh.cell_nodes])
 
 
+def rowdot(a, b):
+    """Row-wise dot products of (n, dim) arrays by columns: ``einsum("nd,nd->n")``'s values, faster."""
+    out = a[:, 0] * b[:, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k] * b[:, k]
+    return out
+
+
 def surface_gradient(mesh, u):
     """Per-boundary-segment tangential slope; empty on an interval mesh."""
     u = _check_field(mesh, u)

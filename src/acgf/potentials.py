@@ -133,7 +133,7 @@ class _Indicator(ScalarConvexPotential):
         return _restore(out, scalar)
 
     def _prox(self, lam, arr):
-        return np.clip(arr, self.lo, self.hi)
+        return np.minimum(np.maximum(arr, self.lo), self.hi)
 
     def _moreau(self, lam, arr):
         d = arr - self._prox(lam, arr)
@@ -205,12 +205,12 @@ class _Tabulated(ScalarConvexPotential):
 
     def _prox(self, lam, arr):
         i, q = self._segment_shift(lam, arr)
-        return np.clip(q, self.ts[i], self.ts[i + 1])
+        return np.minimum(np.maximum(q, self.ts[i]), self.ts[i + 1])
 
     def _moreau(self, lam, arr):
         i, q = self._segment_shift(lam, arr)
         left, right = self.ts[i], self.ts[i + 1]
-        p = np.clip(q, left, right)
+        p = np.minimum(np.maximum(q, left), right)
         d = arr - p
         # the slope's derivative is 0 where the prox moves with r inside a
         # segment and 1/lam where it rests on a breakpoint

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg.lapack
 
 import acgf.config
 import acgf.energy
@@ -37,6 +38,12 @@ def test_every_traced_metric_finds_the_names_it_hooks():
 
 def test_energy_reaches_the_cell_gradients_through_its_own_module_attribute():
     assert vars(acgf.energy)["bulk_gradient"] is acgf.meshes.bulk_gradient
+
+
+def test_flow_factors_and_solves_through_its_own_lapack_attributes():
+    # a benchmark can time the factorization and the solve by wrapping these two
+    assert vars(acgf.flow)["dpbtrf"] is scipy.linalg.lapack.dpbtrf
+    assert vars(acgf.flow)["dpbtrs"] is scipy.linalg.lapack.dpbtrs
 
 
 def test_run_flow_takes_each_step_through_the_hooked_proximal_step(monkeypatch):

@@ -139,9 +139,16 @@ class TestProximalStep:
         norms = np.linalg.norm(dual, axis=1)
         assert norms.max() > 0.0 and np.all(norms < 1.0)
 
-    def test_dual_flux_of_another_shape_or_outside_the_unit_ball_is_refused(self):
+    def test_dual_flux_of_another_shape_or_outside_the_unit_ball_is_refused(self, monkeypatch):
+        # an integer flux crashed after the first factorization and a float32 one was
+        # carried in float32; every bad flux is refused before any work
         m = DiscMesh(1.0, 8, 16)
-        for dual in (np.zeros((3, 2)), np.full((len(m.cell_ops), m.dim), 0.8)):
+        cells = (len(m.cell_ops), m.dim)
+        read_only = np.zeros(cells)
+        read_only.flags.writeable = False
+        monkeypatch.setattr(acgf.energy, "gcal", None)  # the first work a step does
+        for dual in (np.zeros((3, 2)), np.full(cells, 0.8), np.zeros(cells, dtype=int),
+                     np.zeros(cells, dtype=np.float32), read_only, np.zeros(cells).tolist()):
             with pytest.raises(ValueError, match="dual flux"):
                 proximal_step(m, benchmark_params(), FlowParams(tau=1 / 128, T=1.0),
                               np.zeros(m.num_nodes), dual=dual)
@@ -176,14 +183,14 @@ class TestProximalStep:
                              ids=["indicator", "quadratic", "tabulated"])
     def test_non_finite_newton_direction_is_a_solver_error(self, monkeypatch, wells):
         # a non-finite d is refused before the line search, whatever the wells
-        cho_solve_banded = acgf.flow.cho_solve_banded
+        dpbtrs = acgf.flow.dpbtrs
 
-        def one_nan(cb, b, **kwargs):
-            x = cho_solve_banded(cb, b, **kwargs)
+        def one_nan(*args, **kwargs):
+            x, info = dpbtrs(*args, **kwargs)
             x[3] = np.nan
-            return x
+            return x, info
 
-        monkeypatch.setattr(acgf.flow, "cho_solve_banded", one_nan)
+        monkeypatch.setattr(acgf.flow, "dpbtrs", one_nan)
         m = IntervalMesh(1.0, 16)
         u = np.random.default_rng(5).uniform(-0.9, 0.9, m.num_nodes)
         p = make_params(bulk_potential=wells, bdry_potential=wells)
@@ -272,6 +279,30 @@ class TestRunFlow:
         u = np.random.default_rng(5).uniform(-0.9, 0.9, m.num_nodes)
         with pytest.raises(SolverError, match="step 1: Newton matrix is not positive definite"):
             run_flow(m, make_params(), FlowParams(tau=0.1, T=1.0), u)
+
+    def test_newton_band_is_factored_in_place(self, monkeypatch):
+        # a band copy per iterate (1.1 MB on a 32 x 64 disc) would go unseen otherwise
+        dpbtrf, seen = acgf.flow.dpbtrf, []
+
+        def checked(band, **kwargs):
+            factor, info = dpbtrf(band, **kwargs)
+            seen.append(band.flags.f_contiguous and np.shares_memory(factor, band))
+            return factor, info
+
+        monkeypatch.setattr(acgf.flow, "dpbtrf", checked)
+        m = DiscMesh(1.0, 4, 8)
+        run_flow(m, benchmark_params(), FlowParams(tau=1 / 128, T=1 / 128), noisy_two_phase(m, 0))
+        assert seen and all(seen)
+
+    @pytest.mark.parametrize("routine", ["dpbtrf", "dpbtrs"])
+    def test_an_argument_lapack_refuses_is_a_runtime_error(self, monkeypatch, routine):
+        # info < 0 is a fault of the calling code, not a solver failure on the input
+        call = getattr(acgf.flow, routine)
+        monkeypatch.setattr(acgf.flow, routine, lambda *a, **kw: (call(*a, **kw)[0], -2))
+        m = DiscMesh(1.0, 4, 8)
+        with pytest.raises(RuntimeError, match="refused argument 2"):
+            proximal_step(m, benchmark_params(), FlowParams(tau=1 / 128, T=1.0),
+                          noisy_two_phase(m, 0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

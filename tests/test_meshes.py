@@ -18,6 +18,7 @@ from acgf.meshes import (
     bulk_gradient,
     h_inner,
     h_norm,
+    rowdot,
     surface_gradient,
 )
 from conftest import einsum_affine_fit_ops, laplace_beltrami
@@ -117,6 +118,17 @@ class TestCellOperators:
         # 3.6e-12 on the thin cells of the 64 x 3 disc, 4e-14 by SVD
         tol = 1e-12 + 2 * np.finfo(float).eps * np.linalg.cond(D) ** 2
         assert np.all(rel <= tol)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("rows", [7, 1000, 200_000])
+def test_rowdot_equals_einsum(dim, rows):
+    # the energy and the dual update read rowdot where they read this einsum before
+    rng = np.random.default_rng(rows + dim)
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, (rows, 1))
+    a, b = rng.standard_normal((2, rows, dim)) * scale
+    assert np.array_equal(rowdot(a, b), np.einsum("nd,nd->n", a, b))
+    assert np.array_equal(rowdot(a, a), np.einsum("nd,nd->n", a, a))
 
 
 class TestSurfaceGradient:
