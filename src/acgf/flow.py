@@ -236,7 +236,7 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
         with np.errstate(over="ignore", invalid="ignore"):
             pg = m * (at.u - uprev) / tau + en._grad_partial(mesh, p, at) + ml
             gnorm = math.sqrt(float(np.dot(pg * pg, inv_m)))
-        if not np.isfinite(gnorm):
+        if not math.isfinite(gnorm):
             raise SolverError("non-finite gradient in the inner solver")
         if gnorm <= tol:
             break
@@ -263,7 +263,7 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
         for _ in range(40):
             trial = en.Evaluation(mesh, p, at.u + alpha * d)
             fn = value(trial)
-            if np.isfinite(fn) and fn <= fv + 1e-4 * alpha * slope + slack:
+            if math.isfinite(fn) and fn <= fv + 1e-4 * alpha * slope + slack:
                 break
             alpha *= 0.5
             backtracks += 1

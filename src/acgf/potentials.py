@@ -200,7 +200,7 @@ class _Tabulated(ScalarConvexPotential):
         # The prox of r lies in segment i, where i counts the segment ends
         # t_{i+1} + lam*s_i at or below r; unclamped it is r - lam*s_i.
         ends = self.ts[1:] + lam * self.slopes
-        i = np.minimum(np.searchsorted(ends, arr, side="right"), len(self.slopes) - 1)
+        i = np.minimum(ends.searchsorted(arr, side="right"), len(self.slopes) - 1)
         return i, arr - lam * self.slopes[i]
 
     def _prox(self, lam, arr):

@@ -140,8 +140,8 @@ class TestProximalStep:
         assert norms.max() > 0.0 and np.all(norms < 1.0)
 
     def test_dual_flux_of_another_shape_or_outside_the_unit_ball_is_refused(self, monkeypatch):
-        # an integer flux crashed after the first factorization and a float32 one was
-        # carried in float32; every bad flux is refused before any work
+        # an integer flux would fail after the first factorization and a float32 one
+        # would be carried in float32, so every bad flux is refused before any work
         m = DiscMesh(1.0, 8, 16)
         cells = (len(m.cell_ops), m.dim)
         read_only = np.zeros(cells)

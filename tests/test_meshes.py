@@ -123,7 +123,7 @@ class TestCellOperators:
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("rows", [7, 1000, 200_000])
 def test_rowdot_equals_einsum(dim, rows):
-    # the energy and the dual update read rowdot where they read this einsum before
+    # rowdot stands for this einsum in the energy and the dual update, so it must give its values
     rng = np.random.default_rng(rows + dim)
     scale = 10.0 ** rng.uniform(-8.0, 8.0, (rows, 1))
     a, b = rng.standard_normal((2, rows, dim)) * scale
