@@ -22,7 +22,6 @@ from .meshes import (
     h_norm,
     surface_gradient,
 )
-from .norms import SmoothedNorm
 from .potentials import ScalarConvexPotential, indicator, quadratic, tabulated
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "NonconvergenceError",
     "ScalarConvexPotential",
     "SmoothPerturbation",
-    "SmoothedNorm",
     "SolverError",
     "StepRecord",
     "bulk_gradient",

@@ -25,12 +25,11 @@ apart from the boundary wells.
 
 The value, the gradient and the Hessian band read one ``Evaluation`` of
 the field, which computes once the cell gradients, s = sqrt(|grad u|^2 +
-delta^2) (so f_delta = s - delta, with gradient grad u / s), the surface
-slopes and, per side, the well's envelope, Yosida slope and slope
-derivative from one prox. Each of the three takes a field, which it
-evaluates, or an Evaluation, so the inner solver evaluates every trial
-point once and reuses the accepted one. ``SmoothedNorm`` keeps the same
-formulas as the reference form that the tests check these against.
+delta^2) (so f_delta = s - delta, with gradient grad u / s) by
+``norms.smoothed``, the surface slopes and, per side, the well's envelope,
+Yosida slope and slope derivative from one prox. Each of the three takes a
+field, which it evaluates, or an Evaluation, so the inner solver evaluates
+every trial point once and reuses the accepted one.
 """
 
 import math
@@ -41,6 +40,7 @@ from scipy.linalg.blas import dsbmv
 
 from .errors import ConfigError
 from .meshes import PACKED, bulk_gradient, rowdot, surface_gradient
+from .norms import smoothed
 from .potentials import ScalarConvexPotential
 
 
@@ -229,10 +229,7 @@ class Evaluation:
         self.mesh, self.p = mesh, p
         self.u = u = np.asarray(u, dtype=float)
         self.g = bulk_gradient(mesh, u)
-        self.g2 = rowdot(self.g, self.g)
-        self.s2 = self.g2 + p.delta**2
-        self.s = np.sqrt(self.s2)
-        self.flux = self.g / self.s[:, None]
+        self.g2, self.s2, self.s, self.flux = smoothed(self.g, p.delta)
         self.slopes = None
         if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
             self.slopes = surface_gradient(mesh, u)
@@ -331,9 +328,10 @@ def hessian(mesh, p, u, shift, dual=None):
 
         A = (I - (w grad u^T + grad u w^T) / (2 s)) / s + kappa^2 I,
 
-    s = sqrt(|grad u|^2 + delta^2) (``SmoothedNorm.hess`` plus kappa^2 I). Its
-    packed upper-triangle coefficients weight ``mesh.cell_products``, and one
-    scatter-add into ``mesh.band_slots`` stores each symmetric pair once.
+    s = sqrt(|grad u|^2 + delta^2): the primal-dual Hessian of f_delta, exact
+    at w = grad u / s, plus kappa^2 I. Its packed upper-triangle coefficients
+    weight ``mesh.cell_products``, and one scatter-add into
+    ``mesh.band_slots`` stores each symmetric pair once.
     """
     at = _evaluate(mesh, p, u)
     gt = at.g.T

@@ -36,7 +36,8 @@ only the lower entry of each symmetric pair, and the products of the
 cell operators that turn a cell's coefficients into its contributions. A
 mesh whose band would hold more than ``MAX_BAND_ENTRIES`` numbers, or whose
 arrays and tables would take more than ``MAX_MESH_BYTES``, is rejected
-before anything is allocated.
+before anything is allocated; one whose cell operators or node masses
+leave the double range, once built.
 """
 
 import functools
@@ -80,6 +81,15 @@ class _Mesh:
     its tables, measured with tracemalloc (201 bytes on an interval, 761 on a
     disc) and rounded up.
     """
+
+    def _set_mass(self, fields):
+        """Sum the node weights into ``mass``; a ConfigError naming ``fields`` unless every cell operator
+        is finite and every mass finite and positive (a disc's divide by a determinant ~ R^4)."""
+        self.mass = self.w_bulk.copy()
+        self.mass[self.boundary_nodes] += self.w_bdry
+        if not (np.isfinite(self.cell_ops).all() and ((self.mass > 0.0) & (self.mass < np.inf)).all()):
+            raise ConfigError(f"{fields}: the cell gradients or node masses of this mesh are out of "
+                              "double-precision range; rescale the domain")
 
     @functools.cached_property
     def band_slots(self):
@@ -136,6 +146,7 @@ class IntervalMesh(_Mesh):
     dim = 1
     node_bytes = 208
 
+    @np.errstate(all="ignore")  # a degenerate size fails _set_mass instead
     def __init__(self, L, n):
         L = float(L)
         n = int(n)
@@ -156,13 +167,12 @@ class IntervalMesh(_Mesh):
         self.is_boundary = np.zeros(n + 1, dtype=bool)
         self.is_boundary[self.boundary_nodes] = True
         self.cell_nodes = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-        op = np.array([[-1.0 / h, 1.0 / h]])
+        op = np.array([[-1.0, 1.0]]) / h
         self.cell_ops = np.broadcast_to(op, (n, 1, 2)).copy()
         self.cell_weights = np.full(n, h)
         self.seg_nodes = np.zeros((0, 2), dtype=int)
         self.seg_weights = np.zeros(0)
-        self.mass = self.w_bulk.copy()
-        self.mass[self.boundary_nodes] += self.w_bdry
+        self._set_mass(f"mesh.L, mesh.n = {L}, {n}")
 
 
 class DiscMesh(_Mesh):
@@ -172,6 +182,7 @@ class DiscMesh(_Mesh):
     dim = 2
     node_bytes = 848
 
+    @np.errstate(all="ignore")  # a degenerate size fails _set_mass instead
     def __init__(self, R, nr, ntheta):
         R = float(R)
         nr, ntheta = int(nr), int(ntheta)
@@ -219,8 +230,7 @@ class DiscMesh(_Mesh):
         )
         self.seg_weights = np.full(ntheta, self.seg_len)
 
-        self.mass = self.w_bulk.copy()
-        self.mass[self.boundary_nodes] += self.w_bdry
+        self._set_mass(f"mesh.R, mesh.nr, mesh.ntheta = {R}, {nr}, {ntheta}")
 
 
 def _affine_fit_ops(coords, cell_nodes):

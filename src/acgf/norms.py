@@ -2,17 +2,26 @@
 
 The smoothing family is f_delta(w) = sqrt(|w|^2 + delta^2) - delta, a C^infty
 convex regularization of |.| with f_delta(0) = 0, gradient norm strictly
-below 1, and the uniform band |f_delta(w) - |w|| <= delta. Inputs carry the
-vector components on the last axis.
+below 1, and the uniform band |f_delta(w) - |w|| <= delta. ``smoothed`` is the
+one copy of the formula: every ``energy.Evaluation`` and ``SmoothedNorm`` read it.
 """
 
 import numpy as np
 
 from .errors import ConfigError
+from .meshes import rowdot
+
+
+def smoothed(w, delta):
+    """(|w|^2, s^2, s, w / s) per row of an (n, dim) array w, s = sqrt(|w|^2 + delta^2)."""
+    w2 = rowdot(w, w)
+    s2 = w2 + delta**2
+    s = np.sqrt(s2)
+    return w2, s2, s, w / s[:, None]
 
 
 class SmoothedNorm:
-    """sqrt(|w|^2 + delta^2) - delta on R^dim, with gradient and Hessian."""
+    """sqrt(|w|^2 + delta^2) - delta on R^dim, components on the last axis, and its gradient."""
 
     def __init__(self, delta, dim):
         delta = float(delta)
@@ -23,32 +32,16 @@ class SmoothedNorm:
         self.delta = delta
         self.dim = int(dim)
 
-    def _scale(self, omega):
+    def _rows(self, omega):
         omega = np.asarray(omega, dtype=float)
         if omega.shape[-1] != self.dim:
             raise ValueError(f"expected last axis {self.dim}, got shape {omega.shape}")
-        return omega, np.sqrt(np.sum(omega * omega, axis=-1) + self.delta**2)
+        return omega.shape[:-1], smoothed(omega.reshape(-1, self.dim), self.delta)
 
     def eval(self, omega):
-        omega, s = self._scale(omega)
-        return s - self.delta
+        shape, (_, _, s, _) = self._rows(omega)
+        return (s - self.delta).reshape(shape)
 
     def grad(self, omega):
-        omega, s = self._scale(omega)
-        return omega / s[..., None]
-
-    def hess(self, omega, dual=None):
-        """(I - (w omega^T + omega w^T) / (2 s)) / s; shape (..., dim, dim).
-
-        ``dual`` is a flux w of the same shape as ``omega``; the default
-        w = omega / s gives the exact Hessian I/s - omega omega^T / s^3. For
-        |w| < 1 the matrix is symmetric positive definite with eigenvalues
-        at least (1 - |w| |omega| / s) / s. ``energy.hessian`` assembles the
-        same blocks from their packed coefficients; this full form is the
-        reference its tests compare against.
-        """
-        omega, s = self._scale(omega)
-        w = omega / s[..., None] if dual is None else np.asarray(dual, dtype=float)
-        sym = 0.5 * (w[..., :, None] * omega[..., None, :] + omega[..., :, None] * w[..., None, :])
-        return (np.eye(self.dim) - sym / s[..., None, None]) / s[..., None, None]
-
+        shape, (_, _, _, flux) = self._rows(omega)
+        return flux.reshape(shape + (self.dim,))

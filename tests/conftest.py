@@ -20,6 +20,23 @@ def grad_phi_regularized(mesh, p, u):
     return _grad_partial(mesh, p, u) / mesh.mass
 
 
+def smoothed_norm_hess(delta, omega, dual=None):
+    """(I - (w omega^T + omega w^T) / (2 s)) / s, s = sqrt(|omega|^2 + delta^2); shape (..., dim, dim).
+
+    The Hessian blocks of f_delta(omega) = s - delta in their full form, the
+    reference that ``energy.hessian``'s packed band is checked against.
+    ``dual`` is a flux w of the same shape as ``omega``; the default w =
+    omega / s gives the exact Hessian I/s - omega omega^T / s^3. For |w| < 1
+    the matrix is symmetric positive definite with eigenvalues at least
+    (1 - |w| |omega| / s) / s.
+    """
+    omega = np.asarray(omega, dtype=float)
+    s = np.sqrt(np.sum(omega * omega, axis=-1) + delta**2)
+    w = omega / s[..., None] if dual is None else np.asarray(dual, dtype=float)
+    sym = 0.5 * (w[..., :, None] * omega[..., None, :] + omega[..., :, None] * w[..., None, :])
+    return (np.eye(omega.shape[-1]) - sym / s[..., None, None]) / s[..., None, None]
+
+
 def laplace_beltrami(mesh, u):
     """Periodic second difference along the boundary loop, per boundary node."""
     if mesh.kind != "disc":

@@ -133,21 +133,26 @@ def test_criterion_4_moreau_yosida_laws():
 
 
 def test_criterion_5_smoothed_norm_conformance():
-    """f(0) = 0, convexity, gradient bound, delta band; 1e4 points per delta."""
+    """f(0) = 0, convexity, gradient bound, delta band; 1e4 points per delta and dim.
+
+    ``SmoothedNorm`` reads ``norms.smoothed``, the formula every solver
+    evaluation runs on the disc's (dim 2) and the interval's (dim 1) cell gradients.
+    """
     rng = np.random.default_rng(17)
-    for delta in (1.0, 0.1, 0.01):
-        f = SmoothedNorm(delta, 2)
-        assert f.eval(np.zeros(2)) == 0.0
-        w = rng.uniform(-8, 8, size=(10_000, 2))
-        norms = np.linalg.norm(w, axis=1)
-        vals = f.eval(w)
-        assert np.all(vals >= 0.0)
-        assert np.all(np.abs(vals - norms) <= delta + 1e-14)
-        gn = np.linalg.norm(f.grad(w), axis=1)
-        assert np.all(gn <= norms + 1.0)
-        other = rng.uniform(-8, 8, size=(10_000, 2))
-        mid = f.eval(0.5 * (w + other))
-        assert np.all(mid <= 0.5 * vals + 0.5 * f.eval(other) + 1e-12)
+    for dim in (2, 1):
+        for delta in (1.0, 0.1, 0.01):
+            f = SmoothedNorm(delta, dim)
+            assert f.eval(np.zeros(dim)) == 0.0
+            w = rng.uniform(-8, 8, size=(10_000, dim))
+            norms = np.linalg.norm(w, axis=1)
+            vals = f.eval(w)
+            assert np.all(vals >= 0.0)
+            assert np.all(np.abs(vals - norms) <= delta + 1e-14)
+            gn = np.linalg.norm(f.grad(w), axis=1)
+            assert np.all(gn <= norms + 1.0)
+            other = rng.uniform(-8, 8, size=(10_000, dim))
+            mid = f.eval(0.5 * (w + other))
+            assert np.all(mid <= 0.5 * vals + 0.5 * f.eval(other) + 1e-12)
     print("ACCEPTANCE 5 smoothed-norm family conformance: PASS")
 
 

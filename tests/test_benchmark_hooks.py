@@ -16,6 +16,7 @@ import acgf.energy
 import acgf.experiments
 import acgf.flow
 import acgf.meshes
+import acgf.norms
 import acgf.runio
 from acgf.config import config_from_dict
 from acgf.energy import EnergyParams, SmoothPerturbation
@@ -38,6 +39,11 @@ def test_every_traced_metric_finds_the_names_it_hooks():
 
 def test_energy_reaches_the_cell_gradients_through_its_own_module_attribute():
     assert vars(acgf.energy)["bulk_gradient"] is acgf.meshes.bulk_gradient
+
+
+def test_energy_reaches_the_smoothed_norm_through_its_own_module_attribute():
+    # a benchmark can count and time the norm of every evaluation by wrapping this one
+    assert vars(acgf.energy)["smoothed"] is acgf.norms.smoothed
 
 
 def test_flow_factors_and_solves_through_its_own_lapack_attributes():

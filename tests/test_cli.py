@@ -6,6 +6,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -257,6 +258,30 @@ class TestRun:
         cfg = write_cfg(tmp_path, BASE)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "file" / "o")]) == 2
         assert "cannot write outputs: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mesh", [
+        *({"kind": "disc", "R": R, "nr": 4, "ntheta": 8}
+          for R in (1e-100, 1e-170, 5e-324, 1e100, 1e150, 1e200, 1e300)),
+        {"kind": "interval", "L": 1e-320, "n": 8},
+        {"kind": "interval", "L": 5e-324, "n": 8},
+    ], ids=lambda mesh: f"{mesh['kind']}-{mesh.get('R', mesh.get('L'))}")
+    def test_mesh_out_of_double_range_exits_2_without_a_warning(self, tmp_path, capsys, mesh):
+        # its cell operators or node masses under- or overflow though every field is positive
+        cfg = write_cfg(tmp_path, {**BASE, "mesh": mesh})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        fields = "mesh.R, mesh.nr, mesh.ntheta" if mesh["kind"] == "disc" else "mesh.L, mesh.n"
+        assert f"{fields} = " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("R", [1e-60, 1e60])
+    def test_extreme_radius_in_double_range_builds(self, R):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = config_from_dict({**DISC, "mesh": {"kind": "disc", "R": R, "nr": 4, "ntheta": 8}}
+                                    ).build_all()[0]
+        assert np.isfinite(mesh.cell_ops).all() and np.all(mesh.mass > 0.0)
 
     @pytest.mark.parametrize("above", [0, 1], ids=["largest", "one-more"])
     def test_interval_node_count_bounded_by_mesh_memory(self, tmp_path, capsys, above):

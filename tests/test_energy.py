@@ -24,9 +24,8 @@ from acgf.energy import (
 )
 from acgf.errors import ConfigError
 from acgf.meshes import DiscMesh, IntervalMesh, bulk_gradient, h_inner, h_norm
-from acgf.norms import SmoothedNorm
 from acgf.potentials import indicator, quadratic, tabulated
-from conftest import grad_phi_regularized
+from conftest import grad_phi_regularized, smoothed_norm_hess
 
 IND = indicator(-1.0, 1.0)
 TAB = tabulated([[-1.0, 0.6], [-0.5, 0.1], [0.0, 0.0], [0.5, 0.1], [1.0, 0.6]])
@@ -215,7 +214,7 @@ class TestGradient:
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     @pytest.mark.parametrize("dual", [False, True], ids=["exact", "dual"])
     def test_band_matches_the_cellwise_dense_oracle(self, mesh, eps, dual):
-        # sum over cells of ops^T (SmoothedNorm.hess + kappa^2 I) ops * weight,
+        # sum over cells of ops^T (smoothed_norm_hess + kappa^2 I) ops * weight,
         # plus the diagonal and the surface segments, assembled densely in node order
         p = make_params(delta=0.3, lam=0.25, eps=eps, kappa=0.8,
                         bulk_potential=TAB, bdry_potential=TAB)
@@ -226,8 +225,7 @@ class TestGradient:
         if dual:
             w = rng.standard_normal((mesh.cell_nodes.shape[0], mesh.dim))
             w *= rng.uniform(0.0, 0.999, (len(w), 1)) / np.linalg.norm(w, axis=1, keepdims=True)
-        f = SmoothedNorm(p.delta, mesh.dim)
-        a = f.hess(bulk_gradient(mesh, u), w) + p.kappa**2 * np.eye(mesh.dim)
+        a = smoothed_norm_hess(p.delta, bulk_gradient(mesh, u), w) + p.kappa**2 * np.eye(mesh.dim)
         H = np.diag(shift + p.bulk_potential.yosida_derivative(p.lam, u) * mesh.w_bulk)
         bn = mesh.boundary_nodes
         H[bn, bn] += p.bdry_potential.yosida_derivative(p.lam, u[bn]) * mesh.w_bdry

@@ -171,15 +171,6 @@ class TestLaplaceBeltrami:
         with pytest.raises(ValueError):
             laplace_beltrami(interval, np.zeros(interval.num_nodes))
 
-    def test_second_order_refinement(self):
-        errs = []
-        for nth in (64, 128, 256):
-            m = DiscMesh(1.0, 4, nth)
-            th = np.arctan2(m.coords[:, 1], m.coords[:, 0])
-            lb = laplace_beltrami(m, np.cos(th))
-            errs.append(np.abs(lb + np.cos(th[m.boundary_nodes])).max())
-        assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
-
 
 class TestInnerProduct:
     def test_interval_measure_of_ones(self, interval):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import smoothed_norm_hess
+
 from acgf.errors import ConfigError
-from acgf.norms import SmoothedNorm
+from acgf.norms import SmoothedNorm, smoothed
 
 
 def test_zero_at_origin():
@@ -81,51 +83,63 @@ def test_grad_dot_omega_approaches_norm():
 
 @st.composite
 def omega_and_dual(draw):
-    """(norm, omega, dual) with |dual| <= 0.999, in dims 1 and 2."""
+    """(delta, omega, dual) with |dual| <= 0.999, in dims 1 and 2."""
     dim = draw(st.sampled_from([1, 2]))
-    f = SmoothedNorm(draw(st.floats(1e-3, 1.0)), dim)
+    delta = draw(st.floats(1e-3, 1.0))
     omega = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=dim, max_size=dim)))
     direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
     n = np.linalg.norm(direction)
     radius = draw(st.floats(0.0, 0.999))
     dual = radius * direction / n if n > 1e-6 else np.zeros(dim)
-    return f, omega, dual
+    return delta, omega, dual
 
 
-def _closed_form_hess(f, omega):
-    s = np.sqrt(float(omega @ omega) + f.delta**2)
-    return np.eye(f.dim) / s - np.outer(omega, omega) / s**3, s
+def _closed_form_hess(delta, omega):
+    s = np.sqrt(float(omega @ omega) + delta**2)
+    return np.eye(len(omega)) / s - np.outer(omega, omega) / s**3, s
 
 
 class TestPrimalDualHessian:
     @settings(max_examples=300, deadline=None)
     @given(omega_and_dual())
     def test_symmetric_with_eigenvalue_floor(self, case):
-        f, omega, dual = case
-        h = f.hess(omega, dual)
+        delta, omega, dual = case
+        h = smoothed_norm_hess(delta, omega, dual)
         assert np.array_equal(h, h.T)
-        _, s = _closed_form_hess(f, omega)
+        _, s = _closed_form_hess(delta, omega)
         floor = (1.0 - np.linalg.norm(dual) * np.linalg.norm(omega) / s) / s
         assert np.linalg.eigvalsh(h)[0] >= floor * (1.0 - 1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(omega_and_dual())
     def test_dual_at_omega_over_s_is_the_exact_hessian(self, case):
-        f, omega, _ = case
-        exact, s = _closed_form_hess(f, omega)
+        delta, omega, _ = case
+        exact, s = _closed_form_hess(delta, omega)
+        h = smoothed_norm_hess(delta, omega)
         scale = 1.0 / s  # both forms cancel terms of this size along omega
-        assert np.abs(f.hess(omega) - exact).max() <= 1e-14 * scale
-        assert np.abs(f.hess(omega, omega / s) - f.hess(omega)).max() <= 1e-14 * scale
+        assert np.abs(h - exact).max() <= 1e-14 * scale
+        assert np.abs(smoothed_norm_hess(delta, omega, omega / s) - h).max() <= 1e-14 * scale
 
     def test_batched_matches_per_row(self):
         rng = np.random.default_rng(8)
-        f = SmoothedNorm(0.05, 2)
         omega = rng.uniform(-3, 3, size=(20, 2))
         dual = rng.uniform(-0.7, 0.7, size=(20, 2))
-        h = f.hess(omega, dual)
+        h = smoothed_norm_hess(0.05, omega, dual)
         assert h.shape == (20, 2, 2)
         for k in range(20):
-            assert np.array_equal(h[k], f.hess(omega[k], dual[k]))
+            assert np.array_equal(h[k], smoothed_norm_hess(0.05, omega[k], dual[k]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_class_reads_the_solver_formula_on_any_leading_shape(dim):
+    rng = np.random.default_rng(9)
+    omega = rng.uniform(-3, 3, size=(3, 5, dim))
+    f = SmoothedNorm(0.2, dim)
+    w2, s2, s, flux = smoothed(omega.reshape(-1, dim), 0.2)
+    assert np.array_equal(w2 + 0.2**2, s2) and np.array_equal(np.sqrt(s2), s)
+    assert f.eval(omega).shape == (3, 5) and np.array_equal(f.eval(omega).ravel(), s - 0.2)
+    assert f.grad(omega).shape == omega.shape
+    assert np.array_equal(f.grad(omega).reshape(-1, dim), flux)
 
 
 def test_parameter_validation():
