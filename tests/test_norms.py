@@ -135,8 +135,7 @@ def test_the_class_reads_the_solver_formula_on_any_leading_shape(dim):
     rng = np.random.default_rng(9)
     omega = rng.uniform(-3, 3, size=(3, 5, dim))
     f = SmoothedNorm(0.2, dim)
-    w2, s2, s, flux = smoothed(omega.reshape(-1, dim), 0.2)
-    assert np.array_equal(w2 + 0.2**2, s2) and np.array_equal(np.sqrt(s2), s)
+    _, _, s, flux = smoothed(omega.reshape(-1, dim), 0.2)
     assert f.eval(omega).shape == (3, 5) and np.array_equal(f.eval(omega).ravel(), s - 0.2)
     assert f.grad(omega).shape == omega.shape
     assert np.array_equal(f.grad(omega).reshape(-1, dim), flux)
