@@ -33,7 +33,7 @@ every trial point once and reuses the accepted one.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as _replace
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
@@ -41,24 +41,15 @@ from scipy.linalg.blas import dsbmv
 from .errors import ConfigError
 from .meshes import PACKED, bulk_gradient, rowdot, surface_gradient
 from .norms import smoothed
-from .potentials import ScalarConvexPotential
+from .potentials import ScalarConvexPotential, breakpoints
 
 
 # ---------------------------------------------------------------------------
 # smooth perturbation (the non-convex part of the double well)
 
-class _PerturbationPart:
-    lipschitz = 0.0
-
-    def g(self, r):
-        raise NotImplementedError
-
-    def G(self, r):
-        raise NotImplementedError
-
-
-class NonePart(_PerturbationPart):
+class NonePart:
     kind = "none"
+    lipschitz = 0.0
 
     def g(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
@@ -66,7 +57,7 @@ class NonePart(_PerturbationPart):
     G = g
 
 
-class NegQuadraticPart(_PerturbationPart):
+class NegQuadraticPart:
     """G(s) = -s^2/2 on the well domain, extended C^1 with clamped slope."""
 
     kind = "neg_quadratic"
@@ -84,31 +75,19 @@ class NegQuadraticPart(_PerturbationPart):
         return -0.5 * p * p - p * (r - p)
 
 
-class TabulatedPart(_PerturbationPart):
+class TabulatedPart:
     """Piecewise-linear derivative g through (t, g(t)) samples, flat outside."""
 
     kind = "tabulated"
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ConfigError("tabulated perturbation needs >= 2 (t, g) pairs")
-        order = np.argsort(pts[:, 0])
-        self.ts = pts[order, 0]
-        self.gs = pts[order, 1]
-        if np.any(np.diff(self.ts) <= 0.0):
-            raise ConfigError("tabulated perturbation breakpoints must increase")
+        self.ts, self.gs = breakpoints(points, "tabulated perturbation")
         self.slopes = np.diff(self.gs) / np.diff(self.ts)
-        self.lipschitz = float(np.max(np.abs(self.slopes))) if len(self.slopes) else 0.0
+        self.lipschitz = float(np.max(np.abs(self.slopes)))
         # antiderivative at the breakpoints (trapezoid is exact for linear g)
         seg = 0.5 * (self.gs[1:] + self.gs[:-1]) * np.diff(self.ts)
         self.As = np.concatenate([[0.0], np.cumsum(seg)])
         self.A0 = float(self._antideriv(np.asarray(0.0)))
-
-    def _flat_tail(self, r):
-        below = np.minimum(r - self.ts[0], 0.0) * self.gs[0]
-        above = np.maximum(r - self.ts[-1], 0.0) * self.gs[-1]
-        return below + above
 
     def _antideriv(self, r):
         # piecewise quadratic inside the table, linear continuation outside
@@ -116,7 +95,8 @@ class TabulatedPart(_PerturbationPart):
         idx = np.clip(np.searchsorted(self.ts, rc, side="right") - 1, 0, len(self.slopes) - 1)
         dt = rc - self.ts[idx]
         inner = self.As[idx] + self.gs[idx] * dt + 0.5 * self.slopes[idx] * dt * dt
-        return inner + self._flat_tail(r)
+        return inner + (np.minimum(r - self.ts[0], 0.0) * self.gs[0]
+                        + np.maximum(r - self.ts[-1], 0.0) * self.gs[-1])
 
     def g(self, r):
         return np.interp(np.asarray(r, dtype=float), self.ts, self.gs)
@@ -166,8 +146,6 @@ class EnergyParams:
             raise ConfigError("bdry_potential must share the domain interval of bulk_potential")
 
     def replace(self, **kw):
-        from dataclasses import replace as _replace
-
         return _replace(self, **kw)
 
 
@@ -181,6 +159,9 @@ class ForcingField:
             raise ConfigError("forcing needs matching, nonempty times and fields")
         if self.times[0] > 0.0 or np.any(np.diff(self.times) <= 0.0):
             raise ConfigError("forcing times must start at 0 and strictly increase")
+        if not (np.isfinite(self.times).all()
+                and all(f is None or np.isfinite(f).all() for f in self.fields)):
+            raise ConfigError("forcing times and field values must be finite")
 
     @classmethod
     def zero(cls):

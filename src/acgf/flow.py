@@ -71,6 +71,7 @@ assembly that follows.
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,9 @@ class FlowParams:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
         if self.inner_tol is not None and not (math.isfinite(self.inner_tol) and self.inner_tol > 0.0):
             raise ConfigError(f"inner_tol must be finite and positive, got {self.inner_tol}")
-        if self.inner_max_iters < 1:
-            raise ConfigError("inner_max_iters must be >= 1")
+        n = self.inner_max_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ConfigError(f"inner_max_iters must be an integer >= 1, got {n!r}")
         if not self.T / self.tau <= MAX_STEPS:  # an infinite ratio included
             raise ConfigError(f"T / tau = {self.T / self.tau:g} asks for more than the "
                               f"{MAX_STEPS} time steps allowed")
@@ -307,7 +309,8 @@ def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0, guide=None):
     The trace holds one record per completed step. Snapshots are
     (step, state copy) pairs taken at step 0, every ``snapshot_every``-th
     step, and the final step (cadence 0 disables them). The initial state
-    must lie in the admissible class of the wells.
+    must lie in the admissible class of the wells, and each forcing field,
+    like each guide state, must hold one finite value per node.
     """
     u = np.asarray(u0, dtype=float).copy()
     if not en.is_feasible(mesh, p, u):
@@ -322,6 +325,9 @@ def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0, guide=None):
             raise ValueError(f"guide holds {len(guide)} states, the run takes "
                              f"num_steps + 1 = {steps + 1}")
         guide = [_checked_state(mesh, g, "guide state") for g in guide]
+    for f in forcing.fields:
+        if f is not None:
+            _checked_state(mesh, f, "forcing field")
     trace = []
     snapshots = []
     dual = _zero_dual(mesh)

@@ -64,6 +64,14 @@ def _check_fields(*checks):
         raise ConfigError("; ".join(failed))
 
 
+def _is_count(value, least):
+    """True where value is an integral number (not a bool) of at least ``least``."""
+    try:
+        return not isinstance(value, bool) and int(value) == value and value >= least
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
+        return False
+
+
 def _check_size(fields, nodes, bandwidth, node_bytes):
     entries = nodes * (bandwidth + 1)
     if entries > MAX_BAND_ENTRIES:
@@ -149,8 +157,8 @@ class IntervalMesh(_Mesh):
     @np.errstate(all="ignore")  # a degenerate size fails _set_mass instead
     def __init__(self, L, n):
         L = float(L)
+        _check_fields(("L", L, L > 0.0, "positive"), ("n", n, _is_count(n, 2), "an integer >= 2"))
         n = int(n)
-        _check_fields(("L", L, L > 0.0, "positive"), ("n", n, n >= 2, "at least 2"))
         self.bandwidth = 1
         _check_size("mesh.n", n + 1, self.bandwidth, self.node_bytes)
         self.L = L
@@ -185,9 +193,9 @@ class DiscMesh(_Mesh):
     @np.errstate(all="ignore")  # a degenerate size fails _set_mass instead
     def __init__(self, R, nr, ntheta):
         R = float(R)
+        _check_fields(("R", R, R > 0.0, "positive"), ("nr", nr, _is_count(nr, 2), "an integer >= 2"),
+                      ("ntheta", ntheta, _is_count(ntheta, 3), "an integer >= 3"))
         nr, ntheta = int(nr), int(ntheta)
-        _check_fields(("R", R, R > 0.0, "positive"), ("nr", nr, nr >= 2, "at least 2"),
-                      ("ntheta", ntheta, ntheta >= 3, "at least 3"))
         self.bandwidth = ntheta + 2  # what the seam fold of band_order below achieves
         _check_size("mesh.nr, mesh.ntheta", nr * ntheta, self.bandwidth, self.node_bytes)
         self.ntheta = ntheta

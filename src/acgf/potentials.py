@@ -13,14 +13,15 @@ Three kinds are shipped:
 * ``tabulated``  -- convex piecewise-linear interpolation of (t, B) pairs,
   +inf outside the table range.
 
-Every kind has a closed-form prox and an exact a.e. derivative of its
-Yosida slope. ``moreau`` returns the envelope, the Yosida slope and its
-derivative together from one prox, which is what the energy reads per
-side of the field; ``envelope``, ``yosida`` and ``yosida_derivative`` each
-take one part of it. For a tabulated well with breakpoints t_i and segment
-slopes s_i the prox is itself piecewise linear in r (Parikh & Boyd,
-*Proximal Algorithms*, 2014, sec. 6): it rests on t_i for r in
-[t_i + lam*s_{i-1}, t_i + lam*s_i] and is r - lam*s_i in between.
+Every kind writes one closed form, ``_moreau``: the prox, the envelope,
+the Yosida slope and its exact a.e. derivative, all from one prox.
+``prox`` reads its first entry, and ``moreau`` the other three, which is
+what the energy reads per side of the field; ``envelope``, ``yosida`` and
+``yosida_derivative`` each take one of those. For a tabulated well with
+breakpoints t_i and segment slopes s_i the prox is itself piecewise
+linear in r (Parikh & Boyd, *Proximal Algorithms*, 2014, sec. 6): it
+rests on t_i for r in [t_i + lam*s_{i-1}, t_i + lam*s_i] and is
+r - lam*s_i in between.
 """
 
 import numpy as np
@@ -37,6 +38,22 @@ def _restore(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def breakpoints(points, what):
+    """t and value columns, sorted by t, of >= 2 finite pairs, or a ConfigError naming ``what``."""
+    need = f"{what} needs >= 2 finite (t, value) pairs"
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(need) from None
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2 or not np.isfinite(pts).all():
+        raise ConfigError(need)
+    order = np.argsort(pts[:, 0])
+    ts = pts[order, 0]
+    if np.any(np.diff(ts) <= 0.0):
+        raise ConfigError(f"{what} breakpoints must be strictly increasing")
+    return ts, pts[order, 1]
+
+
 class ScalarConvexPotential:
     """Base interface; use the module factories to construct instances."""
 
@@ -51,9 +68,12 @@ class ScalarConvexPotential:
     def prox(self, lam, r):
         """argmin_t (t-r)^2/(2 lam) + B(t); unique by strict convexity. r must be finite."""
         lam = _check_lam(lam)
-        _check_finite(r)
         arr, scalar = _as_array(r)
-        return _restore(self._prox(lam, arr), scalar)
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError("prox requires finite input")
+        # the envelope and the slope of a finite r near the double range may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _restore(self._moreau(lam, arr)[0], scalar)
 
     def moreau(self, lam, r):
         """(envelope, Yosida slope, slope derivative) at r, all from one prox of r.
@@ -66,15 +86,11 @@ class ScalarConvexPotential:
         """
         lam = _check_lam(lam)
         arr, scalar = _as_array(r)
-        env, slope, dslope = self._moreau(lam, arr)
+        _, env, slope, dslope = self._moreau(lam, arr)
         return _restore(env, scalar), _restore(slope, scalar), _restore(dslope, scalar)
 
-    def _prox(self, lam, arr):
-        """The prox of a float array, unchecked: each kind's closed form."""
-        raise NotImplementedError
-
     def _moreau(self, lam, arr):
-        """``moreau`` of a float array: each kind's closed forms around one prox."""
+        """(prox, envelope, slope, slope derivative) of a float array: each kind's closed form."""
         raise NotImplementedError
 
     def envelope(self, lam, r):
@@ -110,12 +126,6 @@ def _check_lam(lam):
     return lam
 
 
-def _check_finite(r):
-    arr, _ = _as_array(r)
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError("prox requires finite input")
-
-
 class _Indicator(ScalarConvexPotential):
     kind = "indicator"
 
@@ -132,13 +142,11 @@ class _Indicator(ScalarConvexPotential):
         out = np.where((arr >= self.lo) & (arr <= self.hi), 0.0, np.inf)
         return _restore(out, scalar)
 
-    def _prox(self, lam, arr):
-        return np.minimum(np.maximum(arr, self.lo), self.hi)
-
     def _moreau(self, lam, arr):
-        d = arr - self._prox(lam, arr)
+        p = np.minimum(np.maximum(arr, self.lo), self.hi)
+        d = arr - p
         outside = (arr < self.lo) | (arr > self.hi)
-        return d * d / (2.0 * lam), d / lam, np.where(outside, 1.0 / lam, 0.0)
+        return p, d * d / (2.0 * lam), d / lam, np.where(outside, 1.0 / lam, 0.0)
 
 
 class _Quadratic(ScalarConvexPotential):
@@ -155,27 +163,17 @@ class _Quadratic(ScalarConvexPotential):
         arr, scalar = _as_array(r)
         return _restore(0.5 * self.c * arr * arr, scalar)
 
-    def _prox(self, lam, arr):
-        return arr / (1.0 + lam * self.c)
-
     def _moreau(self, lam, arr):
         k = 1.0 + lam * self.c
-        return (0.5 * self.c * arr * arr / k, (arr - self._prox(lam, arr)) / lam,
-                np.full_like(arr, self.c / k))
+        p = arr / k
+        return p, 0.5 * self.c * arr * arr / k, (arr - p) / lam, np.full_like(arr, self.c / k)
 
 
 class _Tabulated(ScalarConvexPotential):
     kind = "tabulated"
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ConfigError("tabulated potential needs >= 2 (t, B) pairs")
-        order = np.argsort(pts[:, 0])
-        self.ts = pts[order, 0]
-        self.bs = pts[order, 1]
-        if np.any(np.diff(self.ts) <= 0.0):
-            raise ConfigError("tabulated breakpoints must be strictly increasing")
+        self.ts, self.bs = breakpoints(points, "tabulated potential")
         if np.any(self.bs < -1e-12):
             raise ConfigError("tabulated potential values must be nonnegative")
         self.slopes = np.diff(self.bs) / np.diff(self.ts)
@@ -196,26 +194,19 @@ class _Tabulated(ScalarConvexPotential):
         out = np.where(inside, np.interp(arr, self.ts, self.bs), np.inf)
         return _restore(out, scalar)
 
-    def _segment_shift(self, lam, arr):
+    def _moreau(self, lam, arr):
         # The prox of r lies in segment i, where i counts the segment ends
-        # t_{i+1} + lam*s_i at or below r; unclamped it is r - lam*s_i.
+        # t_{i+1} + lam*s_i at or below r; unclamped it is q = r - lam*s_i.
         ends = self.ts[1:] + lam * self.slopes
         i = np.minimum(ends.searchsorted(arr, side="right"), len(self.slopes) - 1)
-        return i, arr - lam * self.slopes[i]
-
-    def _prox(self, lam, arr):
-        i, q = self._segment_shift(lam, arr)
-        return np.minimum(np.maximum(q, self.ts[i]), self.ts[i + 1])
-
-    def _moreau(self, lam, arr):
-        i, q = self._segment_shift(lam, arr)
+        q = arr - lam * self.slopes[i]
         left, right = self.ts[i], self.ts[i + 1]
         p = np.minimum(np.maximum(q, left), right)
         d = arr - p
         # the slope's derivative is 0 where the prox moves with r inside a
         # segment and 1/lam where it rests on a breakpoint
         moving = (q >= left) & (q < right)
-        return (d * d / (2.0 * lam) + np.interp(p, self.ts, self.bs), d / lam,
+        return (p, d * d / (2.0 * lam) + np.interp(p, self.ts, self.bs), d / lam,
                 np.where(moving, 0.0, 1.0 / lam))
 
 

@@ -384,6 +384,14 @@ class TestForcing:
         g = ForcingField.constant(mesh, 1.0, 1.0).with_offset(off)
         assert np.array_equal(g.at_time(0.2), 1.0 + off)
 
+    @pytest.mark.parametrize("times,fields", [([0.0, np.nan], [None, None]),
+                                              ([0.0, np.inf], [None, None]),
+                                              ([0.0, 1.0], [None, [0.0, np.nan, 0.0]]),
+                                              ([0.0], [np.array([0.0, -np.inf])])])
+    def test_non_finite_forcing_is_refused(self, times, fields):
+        with pytest.raises(ConfigError, match="forcing times and field values must be finite"):
+            ForcingField(times, fields)
+
     def test_validation(self):
         mesh = IntervalMesh(1.0, 4)
         with pytest.raises(ConfigError):

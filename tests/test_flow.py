@@ -251,6 +251,16 @@ class TestProximalStep:
         assert len(seen) == 4
 
 
+@pytest.mark.parametrize("iters", [2.5, 2.0, True, "3", 0])
+def test_inner_max_iters_must_be_an_integer_of_at_least_one(iters):
+    with pytest.raises(ConfigError, match=f"^inner_max_iters must be an integer >= 1, got {iters!r}$"):
+        FlowParams(tau=0.1, T=0.2, inner_max_iters=iters)
+
+
+def test_inner_max_iters_takes_a_numpy_integer():
+    assert FlowParams(tau=0.1, T=0.2, inner_max_iters=np.int64(3)).inner_max_iters == 3
+
+
 class TestRunFlow:
     def test_carried_dual_flux_saves_iterates_and_keeps_the_result(self):
         m = DiscMesh(1.0, 16, 32)
@@ -417,6 +427,25 @@ class TestRunFlow:
         monkeypatch.setattr(acgf.flow, "proximal_step", no_step)
         with pytest.raises(ValueError, match=message):
             run_flow(m, benchmark_params(), fp, u0, guide=guide)
+
+    @pytest.mark.parametrize("case", ["short", "long", "nan"])
+    def test_malformed_forcing_field_is_refused_before_any_step(self, monkeypatch, case):
+        m = DiscMesh(1.0, 4, 8)
+        fields = [None, np.zeros(m.num_nodes + {"short": -1, "long": 1, "nan": 0}[case])]
+        forcing = ForcingField([0.0, 1 / 128], fields)
+        if case == "nan":  # set after the ForcingField checked its fields
+            fields[1][3] = np.nan
+        message = {"short": r"forcing field has shape \(31,\), mesh has 32 nodes",
+                   "long": r"forcing field has shape \(33,\), mesh has 32 nodes",
+                   "nan": "forcing field contains non-finite values"}[case]
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the forcing was checked")
+
+        monkeypatch.setattr(acgf.flow, "proximal_step", no_step)
+        with pytest.raises(ValueError, match=message):
+            run_flow(m, benchmark_params(), FlowParams(tau=1 / 128, T=3 / 128),
+                     noisy_two_phase(m, 0), forcing)
 
     def test_trace_contract(self):
         m = IntervalMesh(1.0, 16)

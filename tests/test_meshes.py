@@ -1,5 +1,6 @@
 """Mesh construction, quadrature, and the discrete differential operators."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -208,6 +209,24 @@ def test_build_mesh_specs():
     with pytest.raises(ConfigError, match="mesh.kind: unknown kind 'torus'"):
         config_from_dict({"mesh": {"kind": "torus"}})
     assert config_from_dict({"mesh": {"kind": "disc"}}).build_all()[0].num_nodes == 16 * 32
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: IntervalMesh(1.0, 8.9), "mesh.n must be an integer >= 2, got 8.9"),
+    (lambda: IntervalMesh(1.0, True), "mesh.n must be an integer >= 2, got True"),
+    (lambda: DiscMesh(1.0, 16.7, 32), "mesh.nr must be an integer >= 2, got 16.7"),
+    (lambda: DiscMesh(1.0, 16, 32.5), "mesh.ntheta must be an integer >= 3, got 32.5"),
+    (lambda: DiscMesh(1.0, float("nan"), "32"),
+     "mesh.nr must be an integer >= 2, got nan; mesh.ntheta must be an integer >= 3, got 32"),
+], ids=["interval", "interval-bool", "disc-nr", "disc-ntheta", "disc-both"])
+def test_non_integral_counts_are_refused_not_truncated(make, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_integral_counts_of_any_number_type_are_taken():
+    assert DiscMesh(1.0, 16.0, np.int64(32)).num_nodes == 16 * 32
+    assert IntervalMesh(1.0, np.float64(8)).n == 8
 
 
 class TestBand:

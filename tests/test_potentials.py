@@ -1,11 +1,15 @@
 """Tests for the scalar convex potentials and their Moreau machinery."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acgf.config import config_from_dict
+from acgf.energy import TabulatedPart
 from acgf.errors import ConfigError
 from acgf.potentials import indicator, quadratic, tabulated
 from conftest import least_norm_subgradient, optimality_residual
@@ -287,6 +291,53 @@ def test_non_finite_input_gives_a_non_finite_envelope_and_prox_still_refuses_it(
     assert not np.isfinite(env[:3]).any() and np.isfinite(env[3])
     with pytest.raises(ConfigError, match="prox requires finite input"):
         pot.prox(0.5, np.array([0.2, np.inf]))
+
+
+@pytest.mark.parametrize("kind", WELLS)
+@pytest.mark.parametrize("big", [1e300, sys.float_info.max])
+def test_prox_near_the_double_range_is_exact_and_silent(kind, big):
+    # the envelope and slope of such r overflow inside _moreau; prox reads neither
+    r = np.array([big, -big])
+    lam = 0.1
+    pot = quadratic(2.0) if kind == "quadratic" else WELLS[kind]
+    expected = r / 1.2 if kind == "quadratic" else np.array([1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(pot.prox(lam, r), expected)
+        assert [pot.prox(lam, x) for x in r] == list(expected)
+
+
+@pytest.mark.parametrize("make,what", [(tabulated, "tabulated potential"),
+                                       (TabulatedPart, "tabulated perturbation")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1), (2, 1)])
+def test_tables_refuse_non_finite_points(make, what, bad, at):
+    points = [[-1.0, 0.5], [0.0, 0.0], [1.0, 0.5]]
+    points[at[0]][at[1]] = bad
+    with pytest.raises(ConfigError, match=f"^{what} needs >= 2 finite"):
+        make(points)
+
+
+@pytest.mark.parametrize("make,what", [(tabulated, "tabulated potential"),
+                                       (TabulatedPart, "tabulated perturbation")])
+@pytest.mark.parametrize("points,message", [
+    ([[0.0, 0.0]], "needs >= 2 finite"),
+    ([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]], "needs >= 2 finite"),
+    ([[0.0, 0.0], [1.0]], "needs >= 2 finite"),
+    ([["a", 0.0], [1.0, 1.0]], "needs >= 2 finite"),
+    ([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], "breakpoints must be strictly increasing"),
+])
+def test_malformed_tables_are_named(make, what, points, message):
+    with pytest.raises(ConfigError, match=f"^{what} {message}"):
+        make(points)
+
+
+def test_tables_are_read_sorted_by_t():
+    points = [[1.0, 0.6], [-1.0, 0.6], [0.0, 0.0]]
+    well, part = tabulated(points), TabulatedPart(points)
+    assert well.ts.tolist() == part.ts.tolist() == [-1.0, 0.0, 1.0]
+    assert well.bs.tolist() == part.gs.tolist() == [0.6, 0.0, 0.6]
+    assert part.lipschitz == pytest.approx(0.6)
 
 
 class TestProjection:
