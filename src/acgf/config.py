@@ -148,7 +148,7 @@ def _initial(spec, mesh, params, seed):
 
 def _forcing(f, mesh):
     if f["kind"] == "zero":
-        return ForcingField.zero()
+        return ForcingField.zero(mesh)
     if f["kind"] == "constant":
         return ForcingField.constant(mesh, f["bulk"], f["boundary"])
     return ForcingField.tabulated(mesh, f["times"], f["bulk"], f["boundary"])

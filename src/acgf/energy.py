@@ -48,7 +48,6 @@ from .potentials import ScalarConvexPotential, breakpoints
 # smooth perturbation (the non-convex part of the double well)
 
 class NonePart:
-    kind = "none"
     lipschitz = 0.0
 
     def g(self, r):
@@ -60,7 +59,6 @@ class NonePart:
 class NegQuadraticPart:
     """G(s) = -s^2/2 on the well domain, extended C^1 with clamped slope."""
 
-    kind = "neg_quadratic"
     lipschitz = 1.0
 
     def __init__(self, lo, hi):
@@ -78,11 +76,13 @@ class NegQuadraticPart:
 class TabulatedPart:
     """Piecewise-linear derivative g through (t, g(t)) samples, flat outside."""
 
-    kind = "tabulated"
-
     def __init__(self, points):
-        self.ts, self.gs = breakpoints(points, "tabulated perturbation")
-        self.slopes = np.diff(self.gs) / np.diff(self.ts)
+        with np.errstate(over="ignore", invalid="ignore"):  # differences may overflow; see below
+            self.ts, self.gs = breakpoints(points, "tabulated perturbation")
+            self.slopes = np.diff(self.gs) / np.diff(self.ts)
+        if not np.isfinite(self.slopes).all():
+            raise ConfigError("tabulated perturbation slopes must be finite, got "
+                              f"{self.slopes.tolist()}")
         self.lipschitz = float(np.max(np.abs(self.slopes)))
         # antiderivative at the breakpoints (trapezoid is exact for linear g)
         seg = 0.5 * (self.gs[1:] + self.gs[:-1]) * np.diff(self.ts)
@@ -150,22 +150,25 @@ class EnergyParams:
 
 
 class ForcingField:
-    """Nodal forcing, piecewise constant in time; None encodes zero."""
+    """Nodal forcing, piecewise constant in time: row k of ``fields``, a float64 (times, nodes)
+    array of its own, holds from times[k] on. Zero forcing is a row of zeros."""
 
     def __init__(self, times, fields):
         self.times = np.asarray(times, dtype=float)
-        self.fields = fields
-        if len(self.times) != len(self.fields) or len(self.times) == 0:
-            raise ConfigError("forcing needs matching, nonempty times and fields")
+        try:
+            self.fields = np.array(fields, dtype=float)
+        except (TypeError, ValueError):  # ragged rows, or values that are not numbers
+            self.fields = np.empty(0)
+        if self.fields.ndim != 2 or len(self.times) != len(self.fields) or len(self.times) == 0:
+            raise ConfigError("forcing needs nonempty times and one row of node values per time")
+        if not (np.isfinite(self.times).all() and np.isfinite(self.fields).all()):
+            raise ConfigError("forcing times and field values must be finite")
         if self.times[0] > 0.0 or np.any(np.diff(self.times) <= 0.0):
             raise ConfigError("forcing times must start at 0 and strictly increase")
-        if not (np.isfinite(self.times).all()
-                and all(f is None or np.isfinite(f).all() for f in self.fields)):
-            raise ConfigError("forcing times and field values must be finite")
 
     @classmethod
-    def zero(cls):
-        return cls([0.0], [None])
+    def zero(cls, mesh):
+        return cls.constant(mesh, 0.0, 0.0)
 
     @classmethod
     def constant(cls, mesh, bulk_value, bdry_value):
@@ -175,11 +178,8 @@ class ForcingField:
     def tabulated(cls, mesh, times, bulk_values, bdry_values):
         if not (len(times) == len(bulk_values) == len(bdry_values)):
             raise ConfigError("forcing series lengths must match")
-        fields = []
-        for cb, cg in zip(bulk_values, bdry_values):
-            f = np.full(mesh.num_nodes, float(cb))
-            f[mesh.boundary_nodes] = float(cg)
-            fields.append(f)
+        fields = np.repeat(np.asarray(bulk_values, dtype=float)[:, None], mesh.num_nodes, axis=1)
+        fields[:, mesh.boundary_nodes] = np.asarray(bdry_values, dtype=float)[:, None]
         return cls(times, fields)
 
     def at_time(self, t):
@@ -187,8 +187,8 @@ class ForcingField:
         return self.fields[max(k, 0)]
 
     def with_offset(self, field):
-        """This forcing plus the nodal ``field`` at every time, added into each field once."""
-        return ForcingField(self.times, [field if f is None else f + field for f in self.fields])
+        """This forcing plus the nodal ``field`` at every time."""
+        return ForcingField(self.times, self.fields + field)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +342,11 @@ def hess_phi_vec(mesh, p, u, v):
 
 def gcal(mesh, p, u):
     """Riesz representative of the perturbation derivative pair [g(u), g_bdry(u)]."""
-    return _perturbation_partial(mesh, p, u) / mesh.mass
-
-
-def _perturbation_partial(mesh, p, u):
     u = np.asarray(u, dtype=float)
     out = p.perturbation.bulk.g(u) * mesh.w_bulk
     bn = mesh.boundary_nodes
     out[bn] += p.perturbation.bdry.g(u[bn]) * mesh.w_bdry
-    return out
+    return out / mesh.mass
 
 
 def is_feasible(mesh, p, u):

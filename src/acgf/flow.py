@@ -184,11 +184,12 @@ def _checked_state(mesh, state, what):
     return state
 
 
-def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
+def proximal_step(mesh, p, fp, uprev, theta_n=0.0, *, dual=None, start=None):
     """One implicit-Euler step from uprev under the forcing value theta_n.
 
     The step's Newton loop runs here: it minimizes J anchored at uprev, whose
-    linear term is G(uprev) - theta_n (see the module docstring). ``dual``, a
+    linear term is G(uprev) - theta_n (see the module docstring). ``theta_n``
+    is a nodal field or a scalar; the default 0.0 is zero forcing. ``dual``, a
     writeable float64 (ncells, dim) array, |w| < 1 in every cell, is the flux
     the loop starts from; the loop leaves its final flux there. Without it
     the flux starts at zero. ``start``, one finite value per node, is the
@@ -213,9 +214,7 @@ def proximal_step(mesh, p, fp, uprev, theta_n=None, *, dual=None, start=None):
         raise SolverError("previous state contains non-finite values")
     tau = fp.tau
     tol = fp.inner_tol if fp.inner_tol is not None else default_inner_tol(mesh)
-    linear = en.gcal(mesh, p, uprev)
-    if theta_n is not None:
-        linear = linear - theta_n
+    linear = en.gcal(mesh, p, uprev) - theta_n
     m = mesh.mass
     ml = m * linear
 
@@ -298,7 +297,8 @@ def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0, guide=None):
     """March ceil(T/tau) proximal steps; returns (final, trace, snapshots).
 
     The dual flux starts at zero and each step starts from the flux the
-    previous one ended with.
+    previous one ended with. Step n is forced by ``forcing.at_time((n - 1) tau)``;
+    no forcing is ``ForcingField.zero(mesh)``.
 
     ``guide``, a sequence of num_steps + 1 states (another run's state at
     every step, say), moves each step's first iterate: step n starts its
@@ -308,16 +308,16 @@ def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0, guide=None):
 
     The trace holds one record per completed step. Snapshots are
     (step, state copy) pairs taken at step 0, every ``snapshot_every``-th
-    step, and the final step (cadence 0 disables them). The initial state
-    must lie in the admissible class of the wells, and each forcing field,
-    like each guide state, must hold one finite value per node.
+    step, and the final step (cadence 0 disables them). The initial state,
+    each forcing field and each guide state must hold one finite value per
+    node, and the initial state must lie in the admissible class of the wells.
     """
-    u = np.asarray(u0, dtype=float).copy()
+    u = _checked_state(mesh, u0, "initial state").copy()
     if not en.is_feasible(mesh, p, u):
         raise ConfigError("initial state leaves the well domain (not admissible)")
     fp.check_stability(p.perturbation.lipschitz)
     if forcing is None:
-        forcing = en.ForcingField.zero()
+        forcing = en.ForcingField.zero(mesh)
     steps = fp.num_steps
     if guide is not None:
         guide = list(guide)
@@ -326,8 +326,7 @@ def run_flow(mesh, p, fp, u0, forcing=None, snapshot_every=0, guide=None):
                              f"num_steps + 1 = {steps + 1}")
         guide = [_checked_state(mesh, g, "guide state") for g in guide]
     for f in forcing.fields:
-        if f is not None:
-            _checked_state(mesh, f, "forcing field")
+        _checked_state(mesh, f, "forcing field")
     trace = []
     snapshots = []
     dual = _zero_dual(mesh)

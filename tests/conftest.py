@@ -7,7 +7,7 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
-from acgf.energy import _grad_partial
+from acgf.energy import NegQuadraticPart, NonePart, _grad_partial
 from acgf.errors import ConfigError
 from acgf.meshes import _check_field
 from acgf.runio import _row_error
@@ -106,14 +106,14 @@ def coordinate_descent_prox_oracle(mesh, p, tau, uprev, theta=None, grad_tol=1e-
     wg[0] = wg[-1] = 1.0
     m = [w[i] + wg[i] for i in range(n + 1)]
 
-    kind = getattr(p.perturbation.bulk, "kind", "none")
+    part = p.perturbation.bulk
     u = [float(x) for x in uprev]
-    if kind == "neg_quadratic":
+    if isinstance(part, NegQuadraticPart):
         gval = [-min(max(x, lo), hi) for x in u]
-    elif kind == "none":
+    elif isinstance(part, NonePart):
         gval = [0.0] * (n + 1)
     else:  # pragma: no cover - oracle scope
-        raise AssertionError(f"oracle does not handle perturbation {kind}")
+        raise AssertionError(f"oracle does not handle perturbation {type(part).__name__}")
     th = [0.0] * (n + 1) if theta is None else [float(x) for x in theta]
     c = [gval[i] - th[i] for i in range(n + 1)]
 

@@ -142,6 +142,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"configuration error: {path}: " in err and "energy: energy" not in err
 
+    def test_perturbation_table_with_a_nan_slope_exits_2(self, tmp_path, capsys):
+        table = {"kind": "tabulated", "points": [[-1.7e308, -1.7e308], [1.7e308, 1.7e308]]}
+        cfg = write_cfg(tmp_path, dict(BASE, energy={**BASE["energy"], "perturbation": table}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert ("configuration error: energy.perturbation: tabulated perturbation slopes must be "
+                "finite, got [nan]") in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("path,value", [
         ("energy.kappa", 1e300), ("energy.eps", 1e200), ("energy.delta", 2.0),
         ("energy.lambda", 0.0), ("mesh.L", -1.0), ("mesh.n", 1), ("mesh.R", 0.0),

@@ -360,8 +360,11 @@ class TestPerturbation:
 
 class TestForcing:
     def test_zero_forcing(self):
-        f = ForcingField.zero()
-        assert f.at_time(0.0) is None
+        mesh = IntervalMesh(1.0, 4)
+        f = ForcingField.zero(mesh)
+        assert f.fields.dtype == np.float64 and f.fields.shape == (1, mesh.num_nodes)
+        assert np.array_equal(f.at_time(0.0), np.zeros(mesh.num_nodes))
+        assert not np.signbit(f.fields).any()  # +0.0, and x - 0.0 is x for every double
 
     def test_constant_pair_layout(self):
         mesh = IntervalMesh(1.0, 4)
@@ -379,18 +382,32 @@ class TestForcing:
     def test_offset_applies_everywhere(self):
         mesh = IntervalMesh(1.0, 4)
         off = np.arange(mesh.num_nodes, dtype=float)
-        f = ForcingField.zero().with_offset(off)
+        f = ForcingField.zero(mesh).with_offset(off)
         assert np.array_equal(f.at_time(0.2), off)
         g = ForcingField.constant(mesh, 1.0, 1.0).with_offset(off)
         assert np.array_equal(g.at_time(0.2), 1.0 + off)
 
-    @pytest.mark.parametrize("times,fields", [([0.0, np.nan], [None, None]),
-                                              ([0.0, np.inf], [None, None]),
-                                              ([0.0, 1.0], [None, [0.0, np.nan, 0.0]]),
+    @pytest.mark.parametrize("times,fields", [([0.0, np.nan], np.zeros((2, 3))),
+                                              ([0.0, np.inf], np.zeros((2, 3))),
+                                              ([0.0, 1.0], [[0.0] * 3, [0.0, np.nan, 0.0]]),
                                               ([0.0], [np.array([0.0, -np.inf])])])
     def test_non_finite_forcing_is_refused(self, times, fields):
         with pytest.raises(ConfigError, match="forcing times and field values must be finite"):
             ForcingField(times, fields)
+
+    @pytest.mark.parametrize("fields", [[[0.0, 0.0], [0.0]], [0.0, 0.0], np.zeros((2, 2, 1)),
+                                        [[0.0, "a"], [0.0, 0.0]], np.zeros((3, 2))],
+                             ids=["ragged", "one-field", "3-d", "not-a-number", "three-rows"])
+    def test_fields_not_one_row_per_time_are_refused(self, fields):
+        with pytest.raises(ConfigError, match="^forcing needs nonempty times and one row of node "
+                                              "values per time$"):
+            ForcingField([0.0, 1.0], fields)
+
+    def test_fields_are_the_forcings_own_copy(self):
+        rows = np.zeros((2, 3))
+        f = ForcingField([0.0, 1.0], rows)
+        rows[1, 2] = np.nan
+        assert np.array_equal(f.fields, np.zeros((2, 3)))
 
     def test_validation(self):
         mesh = IntervalMesh(1.0, 4)

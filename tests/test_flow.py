@@ -431,10 +431,10 @@ class TestRunFlow:
     @pytest.mark.parametrize("case", ["short", "long", "nan"])
     def test_malformed_forcing_field_is_refused_before_any_step(self, monkeypatch, case):
         m = DiscMesh(1.0, 4, 8)
-        fields = [None, np.zeros(m.num_nodes + {"short": -1, "long": 1, "nan": 0}[case])]
+        fields = np.zeros((2, m.num_nodes + {"short": -1, "long": 1, "nan": 0}[case]))
         forcing = ForcingField([0.0, 1 / 128], fields)
         if case == "nan":  # set after the ForcingField checked its fields
-            fields[1][3] = np.nan
+            forcing.fields[1, 3] = np.nan
         message = {"short": r"forcing field has shape \(31,\), mesh has 32 nodes",
                    "long": r"forcing field has shape \(33,\), mesh has 32 nodes",
                    "nan": "forcing field contains non-finite values"}[case]
@@ -446,6 +446,50 @@ class TestRunFlow:
         with pytest.raises(ValueError, match=message):
             run_flow(m, benchmark_params(), FlowParams(tau=1 / 128, T=3 / 128),
                      noisy_two_phase(m, 0), forcing)
+
+    @pytest.mark.parametrize("case", ["shape", "nan", "inf"])
+    def test_malformed_initial_state_is_refused_before_any_step(self, monkeypatch, case):
+        m = DiscMesh(1.0, 4, 8)
+        u0 = noisy_two_phase(m, 0)
+        if case == "shape":
+            u0 = u0[:-1]
+        else:
+            u0[5] = np.nan if case == "nan" else np.inf
+        message = {"shape": r"initial state has shape \(31,\), mesh has 32 nodes",
+                   "nan": "initial state contains non-finite values",
+                   "inf": "initial state contains non-finite values"}[case]
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the initial state was checked")
+
+        monkeypatch.setattr(acgf.flow, "proximal_step", no_step)
+        # quadratic wells have an unbounded domain, which an infinite value does not leave
+        p = make_params(bulk_potential=quadratic(1.0), bdry_potential=quadratic(1.0))
+        with pytest.raises(ValueError, match=message):
+            run_flow(m, p, FlowParams(tau=1 / 128, T=3 / 128), u0)
+
+    @pytest.mark.parametrize("wells", [IND, tabulated([[-1.0, 0.6], [-0.5, 0.1], [0.0, 0.0],
+                                                       [0.5, 0.1], [1.0, 0.6]])],
+                             ids=["indicator", "tabulated"])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_zero_forcing_field_is_the_omitted_forcing(self, wells, eps):
+        # x - 0.0 == x for every double, so a field of zeros forces nothing, bit for bit
+        m = DiscMesh(1.0, 8, 16)
+        p = make_params(eps=eps, bulk_potential=wells, bdry_potential=wells,
+                        perturbation=SmoothPerturbation.neg_quadratic(-1, 1))
+        fp = FlowParams(tau=1 / 128, T=4 / 128)
+        u0 = noisy_two_phase(m, 1)
+        omitted = run_flow(m, p, fp, u0, snapshot_every=1)
+        for forcing in (ForcingField.zero(m), ForcingField.constant(m, 0.0, 0.0)):
+            run = run_flow(m, p, fp, u0, forcing, snapshot_every=1)
+            assert np.array_equal(run[0], omitted[0])
+            assert run[1] == omitted[1]
+            assert all(a == b and np.array_equal(x, y)
+                       for (a, x), (b, y) in zip(run[2], omitted[2], strict=True))
+        v, rec = proximal_step(m, p, fp, u0)
+        w, rec_zeros = proximal_step(m, p, fp, u0, np.zeros(m.num_nodes))
+        assert np.array_equal(v, w)
+        assert rec == rec_zeros
 
     def test_trace_contract(self):
         m = IntervalMesh(1.0, 16)

@@ -332,6 +332,18 @@ def test_malformed_tables_are_named(make, what, points, message):
         make(points)
 
 
+@pytest.mark.parametrize("points,slope", [([[-1.7e308, -1.7e308], [1.7e308, 1.7e308]], "nan"),
+                                          ([[0.0, 0.0], [1e-300, 1e300]], "inf")])
+def test_perturbation_slopes_must_be_finite(points, slope):
+    # inf / inf and 1e300 / 1e-300: a NaN Lipschitz constant passes the tau guard, and an
+    # infinite one fails it asking for tau <= 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError,
+                           match=rf"^tabulated perturbation slopes must be finite, got \[{slope}\]"):
+            TabulatedPart(points)
+
+
 def test_tables_are_read_sorted_by_t():
     points = [[1.0, 0.6], [-1.0, 0.6], [0.0, 0.0]]
     well, part = tabulated(points), TabulatedPart(points)
