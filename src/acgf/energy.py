@@ -4,7 +4,7 @@ The regularized convex energy of a nodal field u is
 
     sum_cells [ f_delta(grad u) + (kappa^2/2) |grad u|^2 ] * cell_weight
   + sum_nodes   env_B(u)        * w_bulk
-  + (1/2) sum_segments |d/ds (eps * u)|^2 * seg_weight        (eps > 0 only)
+  + (1/2) sum_segments |d/ds (eps * u)|^2 * seg_weight
   + sum_bnodes  env_BG(u)       * w_bdry,
 
 where env_* are Moreau envelopes at the shared parameter lam. Its exact
@@ -19,9 +19,8 @@ The inner solver weighs its terms by the same mass. Without this
 reweighting the time stepping would silently run a mass-lumped variant
 with mesh-dependent speed.
 
-The eps = 0 path skips the surface term entirely instead of multiplying
-by zero, so an interval mesh and a disc at eps = 0 assemble identically
-apart from the boundary wells.
+The surface term is always assembled; at eps = 0, or on an interval,
+whose boundary has no segments, it contributes exact zeros.
 
 The value, the gradient and the Hessian band read one ``Evaluation`` of
 the field, which computes once the cell gradients, s = sqrt(|grad u|^2 +
@@ -199,8 +198,7 @@ class Evaluation:
 
     Each is computed once, when the evaluation is built: the cell gradients
     g, |g|^2, s^2 and s = sqrt(|g|^2 + delta^2), the total-variation flux
-    g / s, the surface slopes (None at eps = 0, where that term is skipped),
-    and for each side the well's (envelope, Yosida slope, slope derivative)
+    g / s, the surface slopes, and for each side the well's (envelope, Yosida slope, slope derivative)
     from one prox. The value, the gradient and the Newton band at u all read
     them, and so does the inner solver's dual update. A field holding NaN or
     inf gives non-finite quantities and a non-finite value, never an error.
@@ -211,9 +209,7 @@ class Evaluation:
         self.u = u = np.asarray(u, dtype=float)
         self.g = bulk_gradient(mesh, u)
         self.g2, self.s2, self.s, self.flux = smoothed(self.g, p.delta)
-        self.slopes = None
-        if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
-            self.slopes = surface_gradient(mesh, u)
+        self.slopes = surface_gradient(mesh, u)
         self.bulk = p.bulk_potential.moreau(p.lam, u)
         self.bdry = p.bdry_potential.moreau(p.lam, u[mesh.boundary_nodes])
 
@@ -223,9 +219,7 @@ class Evaluation:
         tv = float(np.dot(self.s - p.delta, mesh.cell_weights))
         quad = 0.5 * p.kappa**2 * float(np.dot(self.g2, mesh.cell_weights))
         bulk_pot = float(np.dot(self.bulk[0], mesh.w_bulk))
-        surf = 0.0
-        if self.slopes is not None:
-            surf = 0.5 * p.eps**2 * float(np.dot(self.slopes * self.slopes, mesh.seg_weights))
+        surf = 0.5 * p.eps**2 * float(np.dot(self.slopes * self.slopes, mesh.seg_weights))
         bdry_pot = float(np.dot(self.bdry[0], mesh.w_bdry))
         return tv, quad, bulk_pot, surf, bdry_pot
 
@@ -260,9 +254,8 @@ def phi_exact(mesh, p, u):
     total = float(np.dot(gn, mesh.cell_weights))
     total += 0.5 * p.kappa**2 * float(np.dot(gn * gn, mesh.cell_weights))
     total += float(np.dot(vb, mesh.w_bulk)) + float(np.dot(vg, mesh.w_bdry))
-    if p.eps > 0.0 and mesh.seg_nodes.shape[0]:
-        sg = surface_gradient(mesh, u)
-        total += 0.5 * p.eps**2 * float(np.dot(sg * sg, mesh.seg_weights))
+    sg = surface_gradient(mesh, u)
+    total += 0.5 * p.eps**2 * float(np.dot(sg * sg, mesh.seg_weights))
     return total
 
 
@@ -289,9 +282,8 @@ def _grad_partial(mesh, p, u):
     out = np.bincount(mesh.cell_nodes.ravel(),
                       np.einsum("ndk,nd->nk", mesh.cell_ops, flux).ravel(), n)
     out += at.bulk[1] * mesh.w_bulk
-    if at.slopes is not None:
-        c = p.eps**2 * at.slopes * mesh.seg_weights / mesh.seg_len
-        out += np.bincount(mesh.seg_nodes[:, 1], c, n) - np.bincount(mesh.seg_nodes[:, 0], c, n)
+    c = p.eps**2 * at.slopes * mesh.seg_weights / mesh.seg_len
+    out += np.bincount(mesh.seg_nodes[:, 1], c, n) - np.bincount(mesh.seg_nodes[:, 0], c, n)
     out[mesh.boundary_nodes] += at.bdry[1] * mesh.w_bdry
     return out
 
@@ -322,13 +314,11 @@ def hessian(mesh, p, u, shift, dual=None):
     coef += (a == b)[:, None] * (1.0 / at.s + p.kappa**2)
     diag = at.bulk[2] * mesh.w_bulk
     diag[mesh.boundary_nodes] += at.bdry[2] * mesh.w_bdry
-    parts = [np.einsum("rn,rcn->cn", coef, mesh.cell_products).ravel(), diag + shift]
-    if at.slopes is not None:  # pairs (0, 0), (1, 0), (1, 1); else their slots, last, get nothing
-        c = p.eps**2 * mesh.seg_weights / mesh.seg_len**2
-        parts += [c, -c, c]
-    contrib = np.concatenate(parts)
+    c = p.eps**2 * mesh.seg_weights / mesh.seg_len**2  # segment pairs (0, 0), (1, 0), (1, 1)
+    contrib = np.concatenate([np.einsum("rn,rcn->cn", coef, mesh.cell_products).ravel(),
+                              diag + shift, c, -c, c])
     n, rows = mesh.num_nodes, mesh.bandwidth + 1
-    return np.bincount(mesh.band_slots[:len(contrib)], contrib, n * rows).reshape(n, rows).T
+    return np.bincount(mesh.band_slots, contrib, n * rows).reshape(n, rows).T
 
 
 def hess_phi_vec(mesh, p, u, v):

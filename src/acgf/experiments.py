@@ -64,11 +64,8 @@ def v0_distance_sq(mesh, u, v):
 def _boundary_h1_sq(mesh, u, v):
     d = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
     db = d[mesh.boundary_nodes]
-    out = float(np.dot(db * db, mesh.w_bdry))
-    if mesh.seg_nodes.shape[0]:
-        sg = surface_gradient(mesh, d)
-        out += float(np.dot(sg * sg, mesh.seg_weights))
-    return out
+    sg = surface_gradient(mesh, d)
+    return float(np.dot(db * db, mesh.w_bdry)) + float(np.dot(sg * sg, mesh.seg_weights))
 
 
 def _sup_h_dist(mesh, states_a, states_b):

@@ -87,12 +87,20 @@ class _Mesh:
 
     ``node_bytes`` is the peak memory per node of building a mesh and both of
     its tables, measured with tracemalloc (201 bytes on an interval, 761 on a
-    disc) and rounded up.
+    disc) and rounded up. The boundary segments default to none, of unit
+    length: an interval's boundary is two points, with no surface calculus.
     """
 
+    seg_nodes = np.zeros((0, 2), dtype=np.intp)
+    seg_weights = np.zeros(0)
+    seg_len = 1.0
+
     def _set_mass(self, fields):
-        """Sum the node weights into ``mass``; a ConfigError naming ``fields`` unless every cell operator
-        is finite and every mass finite and positive (a disc's divide by a determinant ~ R^4)."""
+        """Sum the node weights into ``mass`` and mark ``is_boundary``; a ConfigError naming ``fields``
+        unless every cell operator is finite and every mass finite and positive (a disc's divide
+        by a determinant ~ R^4)."""
+        self.is_boundary = np.zeros(self.num_nodes, dtype=bool)
+        self.is_boundary[self.boundary_nodes] = True
         self.mass = self.w_bulk.copy()
         self.mass[self.boundary_nodes] += self.w_bdry
         if not (np.isfinite(self.cell_ops).all() and ((self.mass > 0.0) & (self.mass < np.inf)).all()):
@@ -172,14 +180,10 @@ class IntervalMesh(_Mesh):
         self.w_bulk[0] = self.w_bulk[-1] = 0.5 * h
         self.boundary_nodes = np.array([0, n])
         self.w_bdry = np.ones(2)
-        self.is_boundary = np.zeros(n + 1, dtype=bool)
-        self.is_boundary[self.boundary_nodes] = True
         self.cell_nodes = np.column_stack([np.arange(n), np.arange(1, n + 1)])
         op = np.array([[-1.0, 1.0]]) / h
         self.cell_ops = np.broadcast_to(op, (n, 1, 2)).copy()
         self.cell_weights = np.full(n, h)
-        self.seg_nodes = np.zeros((0, 2), dtype=int)
-        self.seg_weights = np.zeros(0)
         self._set_mass(f"mesh.L, mesh.n = {L}, {n}")
 
 
@@ -218,8 +222,6 @@ class DiscMesh(_Mesh):
 
         self.boundary_nodes = (nr - 1) * ntheta + np.arange(ntheta)
         self.w_bdry = np.full(ntheta, R * dth)
-        self.is_boundary = np.zeros(self.num_nodes, dtype=bool)
-        self.is_boundary[self.boundary_nodes] = True
 
         # quad cells between consecutive rings, periodic in theta
         i = np.repeat(np.arange(nr - 1), ntheta)
@@ -286,8 +288,6 @@ def rowdot(a, b):
 def surface_gradient(mesh, u):
     """Per-boundary-segment tangential slope; empty on an interval mesh."""
     u = _check_field(mesh, u)
-    if mesh.seg_nodes.shape[0] == 0:
-        return np.zeros(0)
     du = u[mesh.seg_nodes[:, 1]] - u[mesh.seg_nodes[:, 0]]
     return du / mesh.seg_len
 
