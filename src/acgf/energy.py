@@ -76,17 +76,20 @@ class TabulatedPart:
     """Piecewise-linear derivative g through (t, g(t)) samples, flat outside."""
 
     def __init__(self, points):
-        with np.errstate(over="ignore", invalid="ignore"):  # differences may overflow; see below
+        with np.errstate(over="ignore", invalid="ignore"):  # the table may overflow; see below
             self.ts, self.gs = breakpoints(points, "tabulated perturbation")
             self.slopes = np.diff(self.gs) / np.diff(self.ts)
+            # antiderivative at the breakpoints (trapezoid is exact for linear g)
+            seg = 0.5 * (self.gs[1:] + self.gs[:-1]) * np.diff(self.ts)
+            self.As = np.concatenate([[0.0], np.cumsum(seg)])
+            self.A0 = float(self._antideriv(np.asarray(0.0)))
         if not np.isfinite(self.slopes).all():
             raise ConfigError("tabulated perturbation slopes must be finite, got "
                               f"{self.slopes.tolist()}")
+        if not (np.isfinite(self.As).all() and math.isfinite(self.A0)):
+            raise ConfigError("tabulated perturbation antiderivative must be finite at the "
+                              f"breakpoints and at 0, got {self.As.tolist()} and {self.A0}")
         self.lipschitz = float(np.max(np.abs(self.slopes)))
-        # antiderivative at the breakpoints (trapezoid is exact for linear g)
-        seg = 0.5 * (self.gs[1:] + self.gs[:-1]) * np.diff(self.ts)
-        self.As = np.concatenate([[0.0], np.cumsum(seg)])
-        self.A0 = float(self._antideriv(np.asarray(0.0)))
 
     def _antideriv(self, r):
         # piecewise quadratic inside the table, linear continuation outside
@@ -150,7 +153,9 @@ class EnergyParams:
 
 class ForcingField:
     """Nodal forcing, piecewise constant in time: row k of ``fields``, a float64 (times, nodes)
-    array of its own, holds from times[k] on. Zero forcing is a row of zeros."""
+    array of its own, holds from times[k] on. Zero forcing is a row of zeros. A (bulk, bdry) pair
+    is stored as its Riesz representative in ``h_inner``: bulk on interior nodes, and on boundary
+    nodes bdry + (bulk - bdry) w_bulk / mass, which is bulk bit for bit where the two agree."""
 
     def __init__(self, times, fields):
         self.times = np.asarray(times, dtype=float)
@@ -177,8 +182,10 @@ class ForcingField:
     def tabulated(cls, mesh, times, bulk_values, bdry_values):
         if not (len(times) == len(bulk_values) == len(bdry_values)):
             raise ConfigError("forcing series lengths must match")
-        fields = np.repeat(np.asarray(bulk_values, dtype=float)[:, None], mesh.num_nodes, axis=1)
-        fields[:, mesh.boundary_nodes] = np.asarray(bdry_values, dtype=float)[:, None]
+        bulk, bdry = (np.asarray(v, dtype=float)[:, None] for v in (bulk_values, bdry_values))
+        bn = mesh.boundary_nodes
+        fields = np.repeat(bulk, mesh.num_nodes, axis=1)
+        fields[:, bn] = bdry + (bulk - bdry) * (mesh.w_bulk[bn] / mesh.mass[bn])
         return cls(times, fields)
 
     def at_time(self, t):

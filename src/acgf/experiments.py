@@ -91,11 +91,11 @@ def _decreasing(xs):
 
 
 def _loglog_rate(xs, ys):
-    """Least-squares slope of log y against log x; None when degenerate."""
+    """Least-squares slope of log y against log x; None unless two distinct x > 0 have y > 0."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     keep = (xs > 0) & (ys > 0)
-    if keep.sum() < 2:
+    if len(np.unique(xs[keep])) < 2:
         return None
     slope = np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0]
     return float(slope)

@@ -151,6 +151,18 @@ class TestRun:
                 "finite, got [nan]") in err
         assert not (tmp_path / "o").exists()
 
+    def test_perturbation_table_whose_antiderivative_overflows_exits_2(self, tmp_path, capsys):
+        table = {"kind": "tabulated", "points": [[-1e200, 1e200], [1e200, 1e200]]}
+        cfg = write_cfg(tmp_path, dict(BASE, mesh={"kind": "interval", "L": 1.0, "n": 8},
+                                       energy={**BASE["energy"], "perturbation": table}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert ("configuration error: energy.perturbation: tabulated perturbation antiderivative "
+                "must be finite") in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("path,value", [
         ("energy.kappa", 1e300), ("energy.eps", 1e200), ("energy.delta", 2.0),
         ("energy.lambda", 0.0), ("mesh.L", -1.0), ("mesh.n", 1), ("mesh.R", 0.0),

@@ -54,8 +54,9 @@ def test_forcing_tabulated_from_config():
     mesh, _, _, _, forcing = cfg.build_all()
     early = forcing.at_time(0.1)
     late = forcing.at_time(0.3)
-    assert early[1] == 1.0 and early[0] == 0.5
-    assert late[1] == -1.0 and late[0] == -0.5
+    # the 64-cell interval's end node has w_bulk 1/128 of its mass 129/128
+    assert early[1] == 1.0 and early[0] == pytest.approx(0.5 + 0.5 / 129, rel=1e-15)
+    assert late[1] == -1.0 and late[0] == pytest.approx(-0.5 - 0.5 / 129, rel=1e-15)
 
 
 def test_unknown_kinds_rejected_with_field_names():

@@ -367,10 +367,18 @@ class TestForcing:
         assert not np.signbit(f.fields).any()  # +0.0, and x - 0.0 is x for every double
 
     def test_constant_pair_layout(self):
+        # a boundary node holds the pair's Riesz form: -1 + 3 w_bulk / mass = -1 + 3 (1/8) / (9/8)
         mesh = IntervalMesh(1.0, 4)
         f = ForcingField.constant(mesh, 2.0, -1.0)
         field = f.at_time(0.3)
-        assert field[0] == -1.0 and field[-1] == -1.0 and field[2] == 2.0
+        assert field[0] == pytest.approx(-2.0 / 3.0, abs=1e-15) and field[-1] == field[0]
+        assert field[2] == 2.0
+
+    @pytest.mark.parametrize("mesh", [IntervalMesh(1.0, 4), DiscMesh(1.0, 4, 8)],
+                             ids=["interval", "disc"])
+    def test_equal_parts_give_the_bulk_value_bit_for_bit(self, mesh):
+        f = ForcingField.tabulated(mesh, [0.0, 0.5], [0.3, -1.7], [0.3, -1.7])
+        assert np.array_equal(f.fields, np.repeat([[0.3], [-1.7]], mesh.num_nodes, axis=1))
 
     def test_tabulated_switches_on_the_step_grid(self):
         mesh = IntervalMesh(1.0, 4)

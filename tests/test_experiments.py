@@ -1,6 +1,7 @@
 """Sweep and probe studies on small configurations."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ class TestSweepRegularization:
     def test_lambda_only_descent_allowed(self):
         rep = sweep_regularization(interval_cfg(), [(0.25, 0.5), (0.25, 0.25), (0.25, 0.125)])
         assert rep.verdicts["phi_recovery_monotone"]
+
+    def test_lambda_only_sweep_fits_no_rate(self):
+        # every pair shares delta, the x of the rate fit, so there is no slope to fit
+        pairs = [(0.1, 0.5), (0.1, 0.25), (0.1, 0.125), (0.1, 0.0625)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = sweep_regularization(disc_cfg(), pairs)
+        assert len(rep.e_h) == 3 and min(rep.e_h) > 0.0 and rep.extra["fitted_rate"] is None
 
     def test_non_descending_pairs_rejected(self):
         with pytest.raises(ConfigError):

@@ -491,6 +491,21 @@ class TestRunFlow:
         assert np.array_equal(v, w)
         assert rec == rec_zeros
 
+    @pytest.mark.parametrize("mesh,volume,area", [(DiscMesh(1.0, 8, 16), np.pi, 2.0 * np.pi),
+                                                  (IntervalMesh(1.0, 16), 1.0, 2.0)],
+                             ids=["disc", "interval"])
+    def test_one_step_balances_the_mass_of_the_forcing_pair(self, mesh, volume, area):
+        # no wells and no perturbation: the energy ignores constants, so one step moves the
+        # mass (u_1 - u_0, 1)_H by tau times the pair's mass theta |Omega| + theta_G |Gamma|
+        flat = quadratic(0.0)
+        p = make_params(eps=0.5, bulk_potential=flat, bdry_potential=flat)
+        fp = FlowParams(tau=1 / 128, T=1 / 128)
+        u0 = np.where(mesh.coords[:, 0] < 0.3, 0.9, -0.9)
+        theta, theta_g = 1.0, 0.25
+        u1 = run_flow(mesh, p, fp, u0, ForcingField.constant(mesh, theta, theta_g))[0]
+        moved = h_inner(mesh, u1 - u0, np.ones(mesh.num_nodes)) / fp.tau
+        assert moved == pytest.approx(theta * volume + theta_g * area, rel=1e-12)
+
     def test_trace_contract(self):
         m = IntervalMesh(1.0, 16)
         p = make_params()
