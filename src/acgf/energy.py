@@ -205,10 +205,11 @@ class Evaluation:
 
     Each is computed once, when the evaluation is built: the cell gradients
     g, |g|^2, s^2 and s = sqrt(|g|^2 + delta^2), the total-variation flux
-    g / s, the surface slopes, and for each side the well's (envelope, Yosida slope, slope derivative)
-    from one prox. The value, the gradient and the Newton band at u all read
-    them, and so does the inner solver's dual update. A field holding NaN or
-    inf gives non-finite quantities and a non-finite value, never an error.
+    g / s, the surface slopes, and for each side the well's (envelope, Yosida
+    slope, slope derivative) from one prox. The value, the gradient and the
+    Newton band at u all read them, and so does the inner solver's dual
+    update. A field holding NaN or inf gives non-finite quantities and a
+    non-finite value, never an error.
     """
 
     def __init__(self, mesh, p, u):

@@ -96,9 +96,9 @@ class _Mesh:
     seg_len = 1.0
 
     def _set_mass(self, fields):
-        """Sum the node weights into ``mass`` and mark ``is_boundary``; a ConfigError naming ``fields``
-        unless every cell operator is finite and every mass finite and positive (a disc's divide
-        by a determinant ~ R^4)."""
+        """Sum the node weights into ``mass`` and mark ``is_boundary``; a ConfigError naming
+        ``fields`` unless every cell operator is finite and every mass finite and positive (a
+        disc's divide by a determinant ~ R^4)."""
         self.is_boundary = np.zeros(self.num_nodes, dtype=bool)
         self.is_boundary[self.boundary_nodes] = True
         self.mass = self.w_bulk.copy()
